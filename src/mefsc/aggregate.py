@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flowmap import ModelSpec
-from .fsc_element import FallbackEvent, LocalSeries, WarmStart, run_elements
+from .fsc_element import (
+    FallbackEvent,
+    LocalSeries,
+    WarmStart,
+    run_elements,
+    step_count,
+)
 from .measures import Distribution, RandomSpacePartition, partition_random_domain
 
 MASS_TOLERANCE = 1e-12
@@ -37,10 +43,9 @@ class SolverConfig:
     audit_orthogonality: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        step_count(self.duration, self.dt)
+        if self.warmstart is not None:
+            step_count(self.warmstart.duration, self.dt, "warm-start duration")
         n = self.model.state_dim
         if self.truncation < n + 1:
             raise ValueError(

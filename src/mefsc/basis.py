@@ -99,8 +99,9 @@ def orthogonalize(
     Classical Gram-Schmidt with one re-orthogonalization pass, run for all
     elements at once. Candidate 0 must be the constant one; it passes
     through untouched. A candidate whose squared norm after
-    orthogonalization drops below ``drop_ratio`` times its
-    pre-orthogonalization squared norm is masked in that element (see
+    orthogonalization drops to ``drop_ratio`` times its
+    pre-orthogonalization squared norm or below, including one that is zero
+    at every node, is masked in that element (see
     :class:`BasisStack`). Each element's result depends on its own
     candidates only, never on the rest of the batch.
     """
@@ -130,7 +131,9 @@ def orthogonalize(
         coefs[i, :, i] = 1.0
         vw = v * weights
         post = (v[:, None, :] @ vw[:, :, None])[:, 0, 0]
-        dropped = post < floor[i]
+        # <= so that a candidate that is zero at every node (0 <= 0) is
+        # dropped too, rather than kept with a zero norm.
+        dropped = post <= floor[i]
         if np.count_nonzero(dropped):
             v[dropped] = 0.0
             vw[dropped] = 0.0

@@ -23,6 +23,7 @@ from .measures import Distribution
 from .models import MODELS
 from .reference import (
     ErrorSeries,
+    check_quasi_exact_grid,
     error_metrics,
     exact_problem1_moments,
     monte_carlo_moments,
@@ -379,21 +380,25 @@ def run_and_emit(config: RunConfig) -> int:
         else None
     )
     start = time.perf_counter()
+    try:
+        solver_config = SolverConfig(
+            model=model,
+            distributions=config.distributions,
+            element_counts=config.element_counts,
+            truncation=config.truncation,
+            dt=config.dt,
+            duration=config.duration,
+            warmstart=warmstart,
+            workers=config.workers,
+        )
+        if config.reference == "quasi_exact":
+            check_quasi_exact_grid(len(config.distributions))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # A diverging run is reported through NumericalBlowup (exit code 3); the
     # overflow warnings numpy emits on the way there are noise on a CLI.
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = run_me_fsc(
-            SolverConfig(
-                model=model,
-                distributions=config.distributions,
-                element_counts=config.element_counts,
-                truncation=config.truncation,
-                dt=config.dt,
-                duration=config.duration,
-                warmstart=warmstart,
-                workers=config.workers,
-            )
-        )
+        solver = run_me_fsc(solver_config)
         reference = _reference_series(config, solver)
     errors = error_metrics(solver, reference)
     wall = time.perf_counter() - start

@@ -16,15 +16,17 @@ from .measures import QuadratureGrid
 class ModelSpec:
     """A stochastic ODE system with analytic time-derivative chains.
 
-    ``rhs(t, nodes, state)`` maps an (n, Q) state sampled at the Q parameter
-    nodes to its time derivative, also (n, Q). ``derivative_chain(t, nodes,
-    state, order)`` supplies higher derivatives: for a scalar-unknown system
-    written in companion form (``companion=True``) it returns a (1, Q) array
-    holding the order-th time derivative of the highest-derivative component
-    (order 0 coincides with the last row of ``rhs``); for a general
-    first-order system it returns the order-th derivative of ``rhs`` itself,
-    shape (n, Q). Both must be pure: identical arguments give bit-identical
-    results.
+    ``rhs(t, nodes, state, *, out=None)`` maps an (n, Q) state sampled at
+    the Q parameter nodes to its time derivative, also (n, Q). Following
+    numpy's ``out=`` convention, it writes its rows in place into ``out``
+    (a fresh array when ``out`` is None) and returns ``out``; ``out`` must
+    not share memory with ``state``. ``derivative_chain(t, nodes, state,
+    order)`` supplies higher derivatives: for a scalar-unknown system written
+    in companion form (``companion=True``) it returns a (1, Q) array holding
+    the order-th time derivative of the highest-derivative component (order 0
+    coincides with the last row of ``rhs``); for a general first-order system
+    it returns the order-th derivative of ``rhs`` itself, shape (n, Q). Both
+    must be pure: identical arguments give bit-identical results.
 
     ``initial_state(nodes)`` evaluates the initial condition at the nodes.
     ``max_enrichment`` caps how many derivative levels the chain supports.
@@ -36,7 +38,7 @@ class ModelSpec:
     max_enrichment: int
     companion: bool
     component_names: tuple[str, ...]
-    rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[..., np.ndarray]
     derivative_chain: Callable[[float, np.ndarray, np.ndarray, int], np.ndarray]
     initial_state: Callable[[np.ndarray], np.ndarray]
 

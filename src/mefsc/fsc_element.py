@@ -33,6 +33,32 @@ from .flowmap import ModelSpec, check_truncation, fill_germs
 from .measures import Distribution, QuadratureGrid, build_quadrature
 
 
+# A horizon counts as a whole number of steps when duration / dt is within
+# this relative distance of an integer, so that rounded products such as
+# 1200 * 1e-3 = 1.2000000000000002 pass.
+WHOLE_STEP_RTOL = 1e-9
+
+
+def step_count(duration: float, dt: float, what: str = "duration") -> int:
+    """Number of ``dt`` steps in ``duration``, which must be a whole number.
+
+    Raises ValueError, naming the nearest whole horizon, rather than
+    silently running to a rounded one.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if duration < 0:
+        raise ValueError(f"{what} must be >= 0")
+    ratio = duration / dt
+    steps = round(ratio)
+    if abs(ratio - steps) > WHOLE_STEP_RTOL * max(ratio, 1.0):
+        raise ValueError(
+            f"{what} {duration!r} is not a whole number of steps of dt {dt!r}; "
+            f"the nearest whole horizon is {steps * dt!r} ({steps} steps)"
+        )
+    return steps
+
+
 class NumericalBlowup(RuntimeError):
     """Raised when an element's state stops being representable."""
 
@@ -317,14 +343,15 @@ def run_elements(
     nodes = np.concatenate([grid.nodes for grid in grids])
     weights = np.stack([grid.weights for grid in grids])
     n = model.state_dim
-    n_steps = int(round(duration / dt)) if duration > 0 else 0
+    n_steps = step_count(duration, dt)
     times = np.arange(n_steps + 1) * dt
     state = model.initial_state(nodes)
 
     warm_steps = 0
     if warmstart is not None and warmstart.duration > 0:
         cands = np.stack([warmstart_candidates(g, warmstart.degree) for g in grids])
-        warm_steps = min(n_steps, int(round(warmstart.duration / dt)))
+        warm_steps = step_count(warmstart.duration, dt, "warm-start duration")
+        warm_steps = min(n_steps, warm_steps)
     else:
         cands = _candidates(model, 0.0, state, nodes, truncation, n_el)
     basis = orthogonalize(cands, weights)

@@ -21,8 +21,12 @@ _OSC_U0 = 0.05
 _OSC_V0 = 0.20
 
 
-def _osc_rhs(t, nodes, state):
-    return np.stack([state[1], -(nodes[:, 0] / _OSC_MASS) * state[0]])
+def _osc_rhs(t, nodes, state, *, out=None):
+    if out is None:
+        out = np.empty_like(state)
+    out[0] = state[1]
+    np.multiply(-(nodes[:, 0] / _OSC_MASS), state[0], out=out[1])
+    return out
 
 
 def _osc_chain(t, nodes, state, order):
@@ -52,11 +56,14 @@ oscillator = ModelSpec(
 
 
 # u''' + 0.5 u'' + k u' + u = 0 with random k; companion state (u, u', u'').
-def _third_rhs(t, nodes, state):
+def _third_rhs(t, nodes, state, *, out=None):
+    if out is None:
+        out = np.empty_like(state)
     k = nodes[:, 0]
-    return np.stack(
-        [state[1], state[2], -(0.5 * state[2] + k * state[1] + state[0])]
-    )
+    out[0] = state[1]
+    out[1] = state[2]
+    np.negative(0.5 * state[2] + k * state[1] + state[0], out=out[2])
+    return out
 
 
 def _third_chain(t, nodes, state, order):
@@ -91,11 +98,15 @@ _VDP_U0 = 0.20
 _VDP_V0 = 0.30
 
 
-def _vdp_rhs(t, nodes, state):
+def _vdp_rhs(t, nodes, state, *, out=None):
+    if out is None:
+        out = np.empty_like(state)
     c = nodes[:, 0] / _VDP_MASS
     k = nodes[:, 1] / _VDP_MASS
     u, du = state[0], state[1]
-    return np.stack([du, c * (1.0 - _VDP_RHO * u * u) * du - k * u])
+    out[0] = du
+    np.subtract(c * (1.0 - _VDP_RHO * u * u) * du, k * u, out=out[1])
+    return out
 
 
 def _vdp_chain(t, nodes, state, order):
@@ -148,8 +159,16 @@ def _ko_chain(t, nodes, state, order):
     return np.stack([a[-1], b[-1], e[-1]])
 
 
-def _ko_rhs(t, nodes, state):
-    return _ko_chain(t, nodes, state, 0)
+def _ko_rhs(t, nodes, state, *, out=None):
+    # Order 0 of _ko_chain, without the Leibniz sums (whose 0 + x turns a
+    # -0.0 product into +0.0; the values are otherwise the same).
+    if out is None:
+        out = np.empty_like(state)
+    a, b, e = state[0], state[1], state[2]
+    np.multiply(a, e, out=out[0])
+    np.negative(b * e, out=out[1])
+    np.subtract(b * b, a * a, out=out[2])
+    return out
 
 
 def _ko_init(nodes):

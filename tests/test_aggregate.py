@@ -139,6 +139,15 @@ def test_solver_config_validation():
         SolverConfig(OSC, dists, (8, 8), 4, dt=1e-3, duration=1.0)
     with pytest.raises(ValueError):
         SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=1.0, workers=0)
+    for duration in (0.0105, 0.0004):
+        with pytest.raises(ValueError, match="nearest whole horizon"):
+            SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=duration)
+        with pytest.raises(ValueError, match="warm-start duration"):
+            SolverConfig(
+                OSC, dists, (8,), 4, dt=1e-3, duration=1.0,
+                warmstart=WarmStart(7, duration),
+            )
+    SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=1200 * 1e-3)
 
 
 def test_partition_metadata_attached():

@@ -56,6 +56,17 @@ def test_dependent_candidate_dropped():
     assert basis.kept_flags.tolist() == [True, True, False]
 
 
+def test_zero_candidate_dropped():
+    grid = unit_grid()
+    x = grid.nodes[:, 0]
+    basis = gram_schmidt(np.vstack([np.ones_like(x), x, np.zeros_like(x)]), grid)
+    assert basis.kept_flags.tolist() == [True, True, False]
+    assert basis.count == 2
+    assert np.all(basis.squared_norms > 0.0)
+    assert np.all(np.isfinite(basis.projector(grid)))
+    assert np.all(np.isfinite(basis.coefficients))
+
+
 def test_batched_drop_is_masked_in_its_element_only():
     grid = unit_grid()
     x = grid.nodes[:, 0]

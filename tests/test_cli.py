@@ -118,6 +118,23 @@ def test_too_small_basis_message(capsys):
     assert "at least 4" in err
 
 
+def test_partial_step_horizon_is_exit_2(tmp_path, capsys):
+    assert main(["--problem", "1", "--duration", "0.0105", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "not a whole number of steps" in err
+    assert "0.01" in err
+    assert not (tmp_path / "moments.csv").exists()
+
+
+def test_quasi_exact_grid_limit_is_exit_2(tmp_path, capsys):
+    argv = ["--problem", "4", "--reference", "quasi_exact", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "8000000 nodes" in err
+    assert "monte_carlo" in err
+    assert not (tmp_path / "moments.csv").exists()
+
+
 def test_blowup_is_exit_3(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(

@@ -72,6 +72,24 @@ def test_chain_order_zero_matches_rhs(model, centers):
         assert np.array_equal(chain, rhs)
 
 
+@pytest.mark.parametrize("model,centers", [
+    (OSC, (400.0,)),
+    (THIRD, (2.5,)),
+    (VDP, (300.0, 400.0)),
+    (KO, (0.3, -0.4, 0.6)),
+])
+def test_rhs_writes_into_out(model, centers):
+    rng = np.random.default_rng(6)
+    nodes = np.array(centers) * rng.uniform(0.9, 1.1, size=(7, len(centers)))
+    state = rng.uniform(-0.5, 0.5, size=(model.state_dim, 7))
+    state[:, 0] = 0.0  # exact zeros, so the sign of a zero row entry is checked too
+    out = np.full_like(state, np.nan)
+    assert model.rhs(0.0, nodes, state, out=out) is out
+    fresh = model.rhs(0.0, nodes, state)
+    assert np.array_equal(out, fresh)
+    assert np.array_equal(np.signbit(out), np.signbit(fresh))
+
+
 @pytest.mark.parametrize("model,centers,n", [(OSC, (400.0,), 2), (THIRD, (2.5,), 3)])
 def test_germs_are_successive_time_derivatives(model, centers, n):
     # For the linear models, germ j+1 should be d/dt of germ j along the

@@ -250,6 +250,15 @@ def test_run_element_duration_zero():
     assert np.max(series.variance[:, 0]) < 1e-30
 
 
+@pytest.mark.parametrize("duration", [0.0105, 0.0004])
+def test_run_element_rejects_partial_step_horizon(duration):
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        run_element(P1_BOX, P1_DIST, OSC, 4, 1e-3, duration)
+    warmstart = WarmStart(7, duration)
+    with pytest.raises(ValueError, match="warm-start duration"):
+        run_element(P1_BOX, P1_DIST, OSC, 4, 1e-3, 0.02, warmstart=warmstart)
+
+
 def test_run_element_ko_initial_variance():
     # Initial conditions are the coordinates themselves, so the variance of
     # u1 at t=0 is the conditional variance of xi_1 on the element.

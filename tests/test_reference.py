@@ -12,6 +12,7 @@ from mefsc import (
     monte_carlo_moments,
     quasi_exact_moments,
 )
+from mefsc import models, reference
 
 OSC = MODELS["oscillator"]
 THIRD = MODELS["third_order"]
@@ -192,3 +193,145 @@ def test_error_metrics_rejects_mismatched_grids():
     )
     with pytest.raises(ValueError):
         error_metrics(a, b)
+
+
+# The oracles as they were before they stepped in place: right-hand sides
+# that np.stack fresh rows, and an RK4 step that allocates every stage. The
+# in-place oracles must reproduce them bit for bit.
+def _stacked_rhs(name):
+    def osc(t, nodes, s):
+        return np.stack([s[1], -(nodes[:, 0] / models._OSC_MASS) * s[0]])
+
+    def third(t, nodes, s):
+        k = nodes[:, 0]
+        return np.stack([s[1], s[2], -(0.5 * s[2] + k * s[1] + s[0])])
+
+    def vdp(t, nodes, s):
+        c = nodes[:, 0] / models._VDP_MASS
+        k = nodes[:, 1] / models._VDP_MASS
+        u, du = s[0], s[1]
+        return np.stack([du, c * (1.0 - models._VDP_RHO * u * u) * du - k * u])
+
+    def ko(t, nodes, s):
+        a, b, e = s[0], s[1], s[2]
+        return np.stack([a * e, -(b * e), b * b - a * a])
+
+    return {"oscillator": osc, "third_order": third, "vanderpol": vdp,
+            "kraichnan_orszag": ko}[name]
+
+
+def _allocating_rk4(rhs, nodes, states, t, dt):
+    k1 = rhs(t, nodes, states)
+    k2 = rhs(t + 0.5 * dt, nodes, states + (0.5 * dt) * k1)
+    k3 = rhs(t + 0.5 * dt, nodes, states + (0.5 * dt) * k2)
+    k4 = rhs(t + dt, nodes, states + dt * k3)
+    return states + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _allocating_quasi_exact(model, dists, times, points, refinement=10):
+    rhs = _stacked_rhs(model.name)
+    grid = reference._full_domain_grid(dists, points)
+    nodes, w = grid.nodes, grid.weights
+    states = model.initial_state(nodes)
+    mean = np.empty((model.state_dim, times.size))
+    var = np.empty((model.state_dim, times.size))
+    sub = float(times[1] - times[0]) / refinement
+    for i in range(times.size):
+        if i:
+            for k in range(refinement):
+                t = times[i - 1] + k * sub
+                states = _allocating_rk4(rhs, nodes, states, t, sub)
+        first = states @ w
+        centered = states - first[:, None]
+        mean[:, i] = first
+        var[:, i] = (centered * centered) @ w
+    return mean, var
+
+
+def _allocating_monte_carlo(model, dists, n_samples, dt, n_steps, seed, batch_size):
+    rhs = _stacked_rhs(model.name)
+    times = np.arange(n_steps + 1) * dt
+    rng = np.random.Generator(np.random.Philox(seed))
+    count = 0
+    mean = np.zeros((model.state_dim, n_steps + 1))
+    m2 = np.zeros((model.state_dim, n_steps + 1))
+    for start in range(0, n_samples, batch_size):
+        b = min(batch_size, n_samples - start)
+        uniforms = rng.random((b, len(dists)))
+        params = np.column_stack([d.ppf(uniforms[:, k]) for k, d in enumerate(dists)])
+        states = model.initial_state(params)
+        batch_mean = np.empty_like(mean)
+        batch_m2 = np.empty_like(m2)
+        for i in range(n_steps + 1):
+            if i:
+                states = _allocating_rk4(rhs, params, states, times[i - 1], dt)
+            bm = states.mean(axis=1)
+            batch_mean[:, i] = bm
+            batch_m2[:, i] = ((states - bm[:, None]) ** 2).sum(axis=1)
+        total = count + b
+        delta = batch_mean - mean
+        mean += delta * (b / total)
+        m2 += batch_m2 + delta * delta * (count * b / total)
+        count = total
+    return mean, m2 / (count - 1)
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# (model, laws, dt, quasi-exact points per axis). Odd point counts put a
+# node at 0 for the three-mode problem, where the sign of zero matters; the
+# Van der Pol grid of 101^2 nodes is stepped in more than one chunk.
+ORACLE_CASES = [
+    ("oscillator", (UNIFORM_K,), 1e-3, 41),
+    ("third_order", (Distribution.uniform(2.0, 3.0),), 1e-3, 41),
+    (
+        "vanderpol",
+        (Distribution.uniform(150.0, 450.0), Distribution.beta(2.0, 5.0, 340.0, 460.0)),
+        5e-3,
+        101,
+    ),
+    ("kraichnan_orszag", (Distribution.uniform(-1.0, 1.0),) * 3, 5e-3, 5),
+]
+
+
+@pytest.mark.parametrize("name,dists,dt,points", ORACLE_CASES)
+def test_quasi_exact_matches_allocating_reference(name, dists, dt, points):
+    model = MODELS[name]
+    times = np.arange(6) * dt
+    got = quasi_exact_moments(model, dists, times, points_per_axis=points)
+    mean, var = _allocating_quasi_exact(model, dists, times, points)
+    _assert_same_bits(got.mean, mean)
+    _assert_same_bits(got.variance, var)
+
+
+@pytest.mark.parametrize("name,dists,dt,points", ORACLE_CASES)
+def test_monte_carlo_matches_allocating_reference(name, dists, dt, points):
+    model = MODELS[name]
+    # Batches of 12000 and 8000 samples; the first is stepped in two chunks.
+    assert 8000 < reference._RK4_CHUNK < 12000
+    got = monte_carlo_moments(
+        model, dists, 20000, dt, 20 * dt, seed=3, batch_size=12000
+    )
+    mean, var = _allocating_monte_carlo(model, dists, 20000, dt, 20, 3, 12000)
+    _assert_same_bits(got.mean, mean)
+    _assert_same_bits(got.variance, var)
+
+
+def test_quasi_exact_refuses_large_grid():
+    dists = (Distribution.uniform(-1.0, 1.0),) * 3
+    with pytest.raises(ValueError, match="8000000 nodes.*monte_carlo"):
+        quasi_exact_moments(MODELS["kraichnan_orszag"], dists, np.arange(3) * 5e-3)
+
+
+@pytest.mark.parametrize("duration", [0.0105, 0.0004])
+def test_mc_rejects_partial_step_horizon(duration):
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        monte_carlo_moments(OSC, (UNIFORM_K,), 10, 1e-3, duration, seed=1)
+
+
+def test_mc_accepts_rounded_whole_horizon():
+    series = monte_carlo_moments(OSC, (UNIFORM_K,), 10, 1e-3, 1200 * 1e-3, seed=1)
+    assert series.times.size == 1201
