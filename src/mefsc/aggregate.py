@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flowmap import ModelSpec
+from .flowmap import ModelSpec, check_truncation
 from .fsc_element import (
     FallbackEvent,
     LocalSeries,
@@ -46,12 +46,7 @@ class SolverConfig:
         step_count(self.duration, self.dt)
         if self.warmstart is not None:
             step_count(self.warmstart.duration, self.dt, "warm-start duration")
-        n = self.model.state_dim
-        if self.truncation < n + 1:
-            raise ValueError(
-                f"truncation must be at least state_dim+1 = {n + 1} "
-                f"for model {self.model.name!r}"
-            )
+        check_truncation(self.model, self.truncation)
         if len(self.distributions) != self.model.param_dim:
             raise ValueError("one distribution per model parameter required")
         if len(self.element_counts) != self.model.param_dim:
@@ -139,17 +134,31 @@ def _batch_args(config: SolverConfig, partition: RandomSpacePartition, ids):
 def run_me_fsc(config: SolverConfig) -> MomentSeries:
     """Partition, solve every element, and aggregate at each time step.
 
-    With ``workers > 1`` the elements are split into contiguous index ranges,
-    one batch per worker process. An element's numbers do not depend on its
-    batch, and the reduction is a pairwise sum over elements in index order,
-    so the output is bit-identical for any worker count and completion order.
+    With one worker and no ``keep_local`` the elements form one batch whose
+    local moments are reduced to global ones inside its time loop, a block of
+    steps at a time, so no per-element series is stored. With ``workers > 1``
+    the elements are split into contiguous index ranges, one batch per worker
+    process, and their series are reduced once all have returned. An
+    element's numbers do not depend on its batch, and the reduction sums
+    over elements in index order, so the output is bit-identical for any
+    worker count, block size and completion order.
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     masses = partition.masses
     _check_masses(masses)
     n_elements = partition.n_elements
+    n_steps = step_count(config.duration, config.dt)
+    global_mean = np.empty((config.model.state_dim, n_steps + 1))
+    global_var = np.empty_like(global_mean)
+
+    def reduce(start, means, variances):
+        stop = start + means.shape[2]
+        global_mean[:, start:stop], global_var[:, start:stop] = _total_moments(
+            means, variances, masses
+        )
 
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
+    streamed = len(batches) == 1 and not config.keep_local
     if len(batches) > 1:
         with ProcessPoolExecutor(max_workers=len(batches)) as pool:
             futures = [
@@ -158,13 +167,16 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
             ]
             locals_ = [series for future in futures for series in future.result()]
     else:
-        locals_ = run_elements(*_batch_args(config, partition, batches[0]))
-
-    global_mean, global_var = _total_moments(
-        np.stack([series.mean for series in locals_]),
-        np.stack([series.variance for series in locals_]),
-        masses,
-    )
+        locals_ = run_elements(
+            *_batch_args(config, partition, batches[0]),
+            reduce=reduce if streamed else None,
+        )
+    if not streamed:
+        reduce(
+            0,
+            np.stack([series.mean for series in locals_]),
+            np.stack([series.variance for series in locals_]),
+        )
 
     events = [ev for series in locals_ for ev in series.fallback_events]
     residuals = [

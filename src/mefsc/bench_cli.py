@@ -271,22 +271,8 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError(f"reference must be one of {REFERENCES}, got {reference!r}")
     if reference == "closed_form" and problem != 1:
         raise ConfigError("closed_form reference exists only for problem 1")
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if duration < 0:
-        raise ConfigError("duration must be >= 0")
-    n = model.state_dim
-    if truncation < n + 1:
-        raise ConfigError(
-            f"basis truncation {truncation} too small; problem {problem} needs "
-            f"at least {n + 1} (state dimension + 1)"
-        )
-    if any(c < 1 for c in element_counts):
-        raise ConfigError("element counts must be >= 1")
     if mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     if warm_degree < 0:
         raise ConfigError("warmstart degree must be >= 0")
     if warm_duration < 0:

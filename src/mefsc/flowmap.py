@@ -97,8 +97,8 @@ def check_truncation(model: ModelSpec, truncation: int) -> None:
     n = model.state_dim
     if not n + 1 <= truncation <= n + model.max_enrichment:
         raise ValueError(
-            f"truncation {truncation} outside [{n + 1}, {n + model.max_enrichment}] "
-            f"for model {model.name!r}"
+            f"truncation {truncation} for model {model.name!r} must be at least "
+            f"{n + 1} (state dimension + 1) and at most {n + model.max_enrichment}"
         )
 
 

@@ -38,6 +38,10 @@ from .measures import Distribution, QuadratureGrid, build_quadrature
 # 1200 * 1e-3 = 1.2000000000000002 pass.
 WHOLE_STEP_RTOL = 1e-9
 
+# Size of the block buffer (means and variances together) that streamed local
+# moments pass through on their way to ``run_elements``'s ``reduce``.
+_BLOCK_BYTES = 1 << 20
+
 
 def step_count(duration: float, dt: float, what: str = "duration") -> int:
     """Number of ``dt`` steps in ``duration``, which must be a whole number.
@@ -120,7 +124,11 @@ class WarmStart:
 
 @dataclass
 class LocalSeries:
-    """Per-step local moments of one element, plus solver diagnostics."""
+    """Per-step local moments of one element, plus solver diagnostics.
+
+    ``mean`` and ``variance`` are (n, steps+1), or (n, 0) when the batch
+    handed its moments to a reduction instead of storing them.
+    """
 
     times: np.ndarray
     mean: np.ndarray
@@ -323,6 +331,8 @@ def run_elements(
     warmstart: WarmStart | None = None,
     points_per_axis: int = 10,
     audit_orthogonality: bool = False,
+    *,
+    reduce=None,
 ) -> list[LocalSeries]:
     """Integrate a batch of elements in one time loop.
 
@@ -332,6 +342,13 @@ def run_elements(
     the flow-driven rebuild+transfer takes over at every step.
     ``audit_orthogonality`` tracks each element's worst normalized
     off-diagonal Gram entry over all rebuilds (costly, for validation runs).
+
+    With ``reduce`` the local moments are handed over instead of stored:
+    they are buffered a block of steps at a time, and
+    ``reduce(start, means, variances)`` receives the (E, n, k) means and
+    variances of steps ``start`` to ``start + k - 1`` each time the block
+    fills and after the last step. The series returned then hold (n, 0)
+    moment arrays.
     """
     check_truncation(model, truncation)
     grids = [
@@ -357,12 +374,25 @@ def run_elements(
     basis = orthogonalize(cands, weights)
     modes = _element_rows(state, n_el) @ basis.projector
 
-    mean = np.empty((n_el, n, n_steps + 1))
-    variance = np.empty((n_el, n, n_steps + 1))
+    width = n_steps + 1
+    if reduce is not None:
+        width = min(width, max(1, _BLOCK_BYTES // (16 * n_el * n)))
+    mean = np.empty((n_el, n, width))
+    variance = np.empty((n_el, n, width))
+    start = 0
+
+    def record(step, modes, basis):
+        nonlocal start
+        col = step - start
+        mean[:, :, col] = modes[:, :, 0]
+        variance[:, :, col] = _local_variance(modes, basis)
+        if reduce is not None and (col + 1 == width or step == n_steps):
+            reduce(start, mean[:, :, : col + 1], variance[:, :, : col + 1])
+            start = step + 1
+
     events: list[list[FallbackEvent]] = [[] for _ in range(n_el)]
     max_residual = np.zeros(n_el) if audit_orthogonality else None
-    mean[:, :, 0] = modes[:, :, 0]
-    variance[:, :, 0] = _local_variance(modes, basis)
+    record(0, modes, basis)
 
     rebuild_from = warm_steps if warm_steps else 1
     t = 0.0
@@ -385,9 +415,10 @@ def run_elements(
                 )
         modes = _rk4(t, modes, basis, model, nodes, dt, ids)
         t = times[i + 1]
-        mean[:, :, i + 1] = modes[:, :, 0]
-        variance[:, :, i + 1] = _local_variance(modes, basis)
+        record(i + 1, modes, basis)
 
+    if reduce is not None:
+        mean = variance = np.empty((n_el, n, 0))
     return [
         LocalSeries(
             times=times,

@@ -1,5 +1,9 @@
 """Element-to-global moment aggregation and the multi-element driver."""
 
+import dataclasses
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +13,10 @@ from mefsc import (
     Distribution,
     SolverConfig,
     WarmStart,
+    fsc_element,
+    partition_random_domain,
     run_element,
+    run_elements,
     run_me_fsc,
     total_expectation,
     total_variance,
@@ -17,6 +24,26 @@ from mefsc import (
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
+THIRD = MODELS["third_order"]
+P1_DIST = (Distribution.uniform(340.0, 460.0),)
+
+
+def block_bytes(steps: int, n_elements: int, state_dim: int) -> int:
+    """Block buffer size that holds ``steps`` steps of the streamed moments."""
+    return steps * 16 * n_elements * state_dim
+
+
+def assert_streamed_matches_stored(config: SolverConfig):
+    """The one-batch streamed result equals the keep_local one bit for bit."""
+    streamed = run_me_fsc(config)
+    stored = run_me_fsc(dataclasses.replace(config, keep_local=True))
+    assert streamed.local_series is None
+    assert np.array_equal(streamed.times, stored.times)
+    assert np.array_equal(streamed.mean, stored.mean)
+    assert np.array_equal(streamed.variance, stored.variance)
+    assert streamed.fallback_events == stored.fallback_events
+    assert streamed.max_orthogonality_residual == stored.max_orthogonality_residual
+    return streamed
 
 
 def test_total_expectation_two_halves():
@@ -158,3 +185,120 @@ def test_partition_metadata_attached():
     assert series.partition.n_elements == 3
     assert abs(series.partition.masses.sum() - 1.0) < 1e-12
     assert series.component_names == ("u", "dudt")
+
+
+@pytest.mark.parametrize("block_steps", [None, 1, 7])
+@pytest.mark.parametrize("duration", [0.0, 0.6])
+def test_streamed_moments_match_stored_oscillator(monkeypatch, block_steps, duration):
+    # 601 steps is not a multiple of the default block (512 steps of 64
+    # oscillator elements) nor of 7.
+    if block_steps is not None:
+        monkeypatch.setattr(fsc_element, "_BLOCK_BYTES", block_bytes(block_steps, 64, 2))
+    config = SolverConfig(
+        OSC, P1_DIST, (64,), 4, dt=1e-3, duration=duration, warmstart=WarmStart(7, 0.1)
+    )
+    assert_streamed_matches_stored(config)
+
+
+@pytest.mark.parametrize("block_steps", [None, 5])
+def test_streamed_moments_match_stored_third_order(monkeypatch, block_steps):
+    # Germs are masked after the warm start in this run, and the audit
+    # residual must come through the streamed path unchanged.
+    if block_steps is not None:
+        monkeypatch.setattr(fsc_element, "_BLOCK_BYTES", block_bytes(block_steps, 8, 3))
+    config = SolverConfig(
+        THIRD,
+        (Distribution.uniform(2.0, 3.0),),
+        (8,),
+        7,
+        dt=1e-3,
+        duration=1.2,
+        warmstart=WarmStart(7, 1.0),
+        audit_orthogonality=True,
+    )
+    streamed = assert_streamed_matches_stored(config)
+    assert streamed.max_orthogonality_residual is not None
+
+
+def test_run_elements_hands_moment_blocks_to_reduce(monkeypatch):
+    monkeypatch.setattr(fsc_element, "_BLOCK_BYTES", block_bytes(4, 3, 2))
+    boxes = partition_random_domain(P1_DIST, (3,)).boxes
+    args = (boxes, [0, 1, 2], P1_DIST, OSC, 4, 1e-3, 0.01, WarmStart(7, 0.005))
+    blocks = []
+
+    def reduce(start, means, variances):
+        blocks.append((start, means.copy(), variances.copy()))
+
+    streamed = run_elements(*args, reduce=reduce)
+    stored = run_elements(*args)
+    assert [(start, m.shape) for start, m, _ in blocks] == [
+        (0, (3, 2, 4)),
+        (4, (3, 2, 4)),
+        (8, (3, 2, 3)),
+    ]
+    assert np.array_equal(
+        np.concatenate([m for _, m, _ in blocks], axis=2),
+        np.stack([series.mean for series in stored]),
+    )
+    assert np.array_equal(
+        np.concatenate([v for _, _, v in blocks], axis=2),
+        np.stack([series.variance for series in stored]),
+    )
+    for series in streamed:
+        assert series.mean.shape == series.variance.shape == (2, 0)
+        assert series.times.size == 11
+
+
+def test_workers_do_not_change_streamed_oscillator_results():
+    config = SolverConfig(
+        OSC, P1_DIST, (7,), 4, dt=1e-3, duration=0.2, warmstart=WarmStart(7, 0.1)
+    )
+    sequential = run_me_fsc(config)
+    parallel = run_me_fsc(dataclasses.replace(config, workers=3))
+    assert np.array_equal(sequential.mean, parallel.mean)
+    assert np.array_equal(sequential.variance, parallel.variance)
+    assert sequential.fallback_events == parallel.fallback_events
+
+
+def test_streamed_solve_memory_does_not_grow_with_elements_times_steps():
+    # 256 elements x 1001 steps of stored mean and variance series are
+    # 8.2 MB, and stacking them doubled that: the traced peak was 26.5 MB
+    # when every series was stored. Streamed, it is about 3.8 MB.
+    config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1e-3, duration=1.0)
+    tracemalloc.start()
+    try:
+        run_me_fsc(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@given(
+    n_elements=st.integers(1, 6),
+    steps=st.integers(0, 30),
+    warm=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(1, 30))),
+    law=st.sampled_from(["uniform", "beta"]),
+    truncation=st.integers(3, 5),
+    block_steps=st.integers(1, 8),
+)
+@settings(deadline=None, max_examples=40)
+def test_streamed_oscillator_properties(
+    n_elements, steps, warm, law, truncation, block_steps
+):
+    dist = (
+        Distribution.uniform(340.0, 460.0)
+        if law == "uniform"
+        else Distribution.beta(2.0, 5.0, 340.0, 460.0)
+    )
+    warmstart = None if warm is None else WarmStart(warm[0], warm[1] * 1e-3)
+    config = SolverConfig(
+        OSC, (dist,), (n_elements,), truncation, dt=1e-3, duration=steps * 1e-3,
+        warmstart=warmstart,
+    )
+    bytes_ = block_bytes(block_steps, n_elements, 2)
+    with mock.patch.object(fsc_element, "_BLOCK_BYTES", bytes_):
+        streamed = assert_streamed_matches_stored(config)
+    assert abs(streamed.partition.masses.sum() - 1.0) <= 1e-12
+    assert streamed.times.size == steps + 1
+    assert (streamed.variance >= 0.0).all()

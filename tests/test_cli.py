@@ -118,6 +118,23 @@ def test_too_small_basis_message(capsys):
     assert "at least 4" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--dt", "0"], "dt must be positive"),
+        (["--duration", "-1"], "duration must be >= 0"),
+        (["--elements", "0"], "element counts must be >= 1"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--basis", "30"], "at most 18"),
+        (["--warmstart-duration", "-1"], "warmstart duration must be >= 0"),
+    ],
+)
+def test_solver_inputs_rejected_with_exit_2(tmp_path, capsys, flags, message):
+    assert main(["--problem", "1", "--out", str(tmp_path)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+
+
 def test_partial_step_horizon_is_exit_2(tmp_path, capsys):
     assert main(["--problem", "1", "--duration", "0.0105", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
