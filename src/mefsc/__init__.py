@@ -14,7 +14,7 @@ from .aggregate import (
     total_variance,
 )
 from .basis import BasisSet, evaluate, gram_schmidt, project, warmstart_basis
-from .flowmap import GermSet, ModelSpec, enriched_germs, taylor_propagate
+from .flowmap import GermSet, ModelSpec, enriched_germs
 from .fsc_element import (
     ElementState,
     FallbackEvent,
@@ -92,7 +92,6 @@ __all__ = [
     "run_element",
     "run_elements",
     "run_me_fsc",
-    "taylor_propagate",
     "third_order",
     "total_expectation",
     "total_variance",

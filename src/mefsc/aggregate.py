@@ -8,7 +8,6 @@ result independent of scheduling.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +159,8 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
     streamed = len(batches) == 1 and not config.keep_local
     if len(batches) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(batches)) as pool:
             futures = [
                 pool.submit(run_elements, *_batch_args(config, partition, ids))

@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .measures import QuadratureGrid
 
@@ -29,16 +28,13 @@ class BasisSet:
     degeneracy drop. ``coefficients`` is (n_candidates, count): row i holds
     the Gram-Schmidt coefficients of candidate i on the basis, so a kept
     candidate equals ``coefficients[i] @ values`` (a trailing 1 on its own
-    vector) and a dropped one its projection. ``transform``, when requested,
-    maps candidate rows to basis rows (values = transform @ candidates); it
-    exists so tests can re-evaluate the same basis on denser grids.
+    vector) and a dropped one its projection.
     """
 
     values: np.ndarray
     squared_norms: np.ndarray
     kept_flags: np.ndarray
     coefficients: np.ndarray
-    transform: np.ndarray | None = None
     _projector: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -155,7 +151,6 @@ def gram_schmidt(
     grid: QuadratureGrid,
     *,
     drop_ratio: float = DROP_RATIO,
-    want_transform: bool = False,
     check: bool = True,
 ) -> BasisSet:
     """Orthogonalize candidate node-value rows against the grid measure.
@@ -178,17 +173,7 @@ def gram_schmidt(
         raise ValueError("need at least one candidate")
     if check and not np.all(cands[0] == 1.0):
         raise ValueError("first candidate must be identically 1")
-    basis = orthogonalize(cands[None], grid.weights[None], drop_ratio).element(0)
-    if want_transform:
-        # Kept candidates are C @ values with C unit lower triangular, so the
-        # transform is C's inverse on the kept rows; dropped columns are zero.
-        keep = basis.kept_flags
-        square = basis.coefficients[keep]
-        basis.transform = np.zeros((basis.count, n_cands))
-        basis.transform[:, keep] = solve_triangular(
-            square, np.eye(basis.count), lower=True, unit_diagonal=True
-        )
-    return basis
+    return orthogonalize(cands[None], grid.weights[None], drop_ratio).element(0)
 
 
 def _graded_lex_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:

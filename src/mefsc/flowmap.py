@@ -121,43 +121,3 @@ def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> Non
         filled += take
         level += 1
 
-
-def taylor_propagate(
-    model: ModelSpec,
-    t: float,
-    nodes: np.ndarray,
-    state_node_values,
-    h: float,
-    order: int,
-) -> np.ndarray:
-    """Truncated Taylor push of the state to t + h, per node.
-
-    s(t+h) = sum_{m<=order} h^m/m! D^m s. This is the flow map used to
-    justify the germ set; the production integrator is RK4, so this exists
-    for validation and experimentation, not for stepping runs.
-    """
-    s = np.asarray(state_node_values, dtype=float)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > model.max_enrichment:
-        raise ValueError("order exceeds the model's derivative chain")
-    out = s.copy()
-    if order == 0:
-        return out
-    n = model.state_dim
-    factor = 1.0
-    if model.companion:
-        # Rows i..n-1 of the state are already derivatives of row 0, so one
-        # scalar chain serves every component.
-        chain = [s[i] for i in range(n)]
-        for j in range(order):
-            chain.append(model.derivative_chain(t, nodes, s, j)[0])
-        for m in range(1, order + 1):
-            factor *= h / m
-            for i in range(n):
-                out[i] += factor * chain[i + m]
-    else:
-        for m in range(1, order + 1):
-            factor *= h / m
-            out += factor * model.derivative_chain(t, nodes, s, m - 1)
-    return out

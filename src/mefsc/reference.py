@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
-from scipy import special
 
 from .aggregate import MomentSeries
 from .flowmap import ModelSpec
@@ -48,6 +47,8 @@ def _reference_rule(distribution: Distribution, points: int):
     normalized density.
     """
     if distribution.kind is DistributionKind.TRUNCATED_GAMMA:
+        from scipy import special
+
         shape, rate = distribution.shape_a, distribution.shape_b
         lo = distribution.lower
         hi = lo + float(special.gammaincinv(shape, 1.0 - _GAMMA_TAIL)) / rate
@@ -81,8 +82,14 @@ def exact_problem1_moments(
     omega = np.sqrt(nodes / mass)
     mean = np.empty((2, times.size))
     var = np.empty((2, times.size))
+    # The last block is padded with zero times to the full _TIME_BLOCK rows:
+    # a matrix-vector product of fewer rows may round a row differently, and
+    # then a time's moments would depend on the length of the grid.
+    padded = np.zeros(-(-times.size // _TIME_BLOCK) * _TIME_BLOCK)
+    padded[: times.size] = times
     for start in range(0, times.size, _TIME_BLOCK):
-        block = times[start : start + _TIME_BLOCK, None]
+        block = padded[start : start + _TIME_BLOCK, None]
+        stop = min(start + _TIME_BLOCK, times.size)
         phase = block * omega
         cos, sin = np.cos(phase), np.sin(phase)
         u = displacement * cos + (velocity / omega) * sin
@@ -90,8 +97,8 @@ def exact_problem1_moments(
         for row, values in enumerate((u, v)):
             first = values @ w
             second = (values * values) @ w
-            mean[row, start : start + block.size] = first
-            var[row, start : start + block.size] = second - first * first
+            mean[row, start:stop] = first[: stop - start]
+            var[row, start:stop] = (second - first * first)[: stop - start]
     return MomentSeries(
         times=times,
         mean=mean,

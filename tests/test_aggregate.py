@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mefsc import (
     MODELS,
@@ -95,23 +95,38 @@ def test_total_variance_matches_mixture_identity(data):
     assert got >= 0.0
 
 
-def test_run_me_fsc_single_element_matches_run_element():
-    dists = (Distribution.uniform(340.0, 460.0),)
+@given(
+    model=st.sampled_from([OSC, THIRD]),
+    law=st.sampled_from(["uniform", "beta"]),
+    extra_germs=st.integers(1, 3),
+    steps=st.integers(0, 40),
+    warm=st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(1, 20))),
+)
+@example(model=OSC, law="uniform", extra_germs=2, steps=200, warm=(7, 100))
+@settings(deadline=None, max_examples=30)
+def test_run_me_fsc_single_element_matches_run_element(
+    model, law, extra_germs, steps, warm
+):
+    lo, hi = (340.0, 460.0) if model is OSC else (2.0, 3.0)
+    dists = (
+        Distribution.uniform(lo, hi)
+        if law == "uniform"
+        else Distribution.beta(2.0, 5.0, lo, hi),
+    )
+    truncation = model.state_dim + extra_germs
+    warmstart = None if warm is None else WarmStart(warm[0], warm[1] * 1e-3)
     config = SolverConfig(
-        model=OSC,
-        distributions=dists,
-        element_counts=(1,),
-        truncation=4,
-        dt=1e-3,
-        duration=0.2,
-        warmstart=WarmStart(7, 0.1),
+        model, dists, (1,), truncation, dt=1e-3, duration=steps * 1e-3,
+        warmstart=warmstart,
     )
     combined = run_me_fsc(config)
     alone = run_element(
-        [[340.0, 460.0]], dists, OSC, 4, 1e-3, 0.2, warmstart=WarmStart(7, 0.1)
+        [[lo, hi]], dists, model, truncation, 1e-3, steps * 1e-3, warmstart=warmstart
     )
+    assert np.array_equal(combined.times, alone.times)
     assert np.array_equal(combined.mean, alone.mean)
     assert np.array_equal(combined.variance, alone.variance)
+    assert combined.fallback_events == alone.fallback_events
 
 
 def test_run_me_fsc_agrees_with_scalar_aggregation():

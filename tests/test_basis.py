@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
+from scipy.linalg import solve_triangular
 
 from mefsc import (
     Distribution,
@@ -87,6 +88,21 @@ def test_batched_drop_is_masked_in_its_element_only():
         assert np.allclose(got.coefficients[got.kept_flags] @ got.values, kept, atol=1e-14)
 
 
+def candidate_transform(basis):
+    """Matrix T with basis.values = T @ candidates, to replay a basis elsewhere.
+
+    Kept candidates are C @ values with C the unit lower triangular
+    coefficients on the kept rows, so T is C's inverse there; the columns of
+    dropped candidates are zero.
+    """
+    keep = basis.kept_flags
+    transform = np.zeros((basis.count, keep.size))
+    transform[:, keep] = solve_triangular(
+        basis.coefficients[keep], np.eye(basis.count), lower=True, unit_diagonal=True
+    )
+    return transform
+
+
 def test_first_candidate_must_be_constant():
     grid = unit_grid()
     x = grid.nodes[:, 0]
@@ -99,9 +115,9 @@ def test_beta_orthogonality_on_dense_replay():
     # combinations on a much denser rule and check the Gram matrix there.
     dist = Distribution.beta(2.0, 5.0, 0.0, 1.0)
     grid = build_quadrature([0.0, 1.0], (dist,), points_per_axis=10)
-    basis = gram_schmidt(monomial_candidates(grid, 4), grid, want_transform=True)
+    basis = gram_schmidt(monomial_candidates(grid, 4), grid)
     dense = build_quadrature([0.0, 1.0], (dist,), points_per_axis=400)
-    dense_values = basis.transform @ monomial_candidates(dense, 4)
+    dense_values = candidate_transform(basis) @ monomial_candidates(dense, 4)
     gram = (dense_values * dense.weights) @ dense_values.T
     scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
     off = gram / scale - np.eye(basis.count)

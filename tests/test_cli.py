@@ -2,6 +2,9 @@
 
 import csv
 import filecmp
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +245,76 @@ def test_run_and_emit_returns_zero(tmp_path, capsys):
     assert line.startswith("problem=1")
     assert "eG[mean_u]=" in line
     assert "wall=" in line
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The benchmark workloads' command lines (perfbench/workloads.py) at short
+# horizons: problems 2, 4 and 1, every law uniform.
+UNIFORM_LAW_RUNS = (
+    [
+        "--problem", "2", "--distribution", "uniform", "--elements", "8",
+        "--basis", "7", "--warmstart-degree", "7", "--warmstart-duration", "1.0",
+        "--reference", "quasi_exact", "--dt", "0.001", "--duration", "1.1",
+        "--workers", "1", "--seed", "1",
+    ],
+    [
+        "--problem", "1", "--distribution", "uniform", "--elements", "512",
+        "--basis", "4", "--warmstart-degree", "7", "--warmstart-duration", "1.0",
+        "--reference", "closed_form", "--dt", "0.001", "--duration", "1.1",
+        "--workers", "1", "--seed", "1",
+    ],
+    [
+        "--problem", "4", "--distribution", "uniform", "--elements", "4",
+        "--basis", "6", "--warmstart-degree", "0", "--warmstart-duration", "0",
+        "--reference", "monte_carlo", "--mc-samples", "100000", "--dt", "0.005",
+        "--duration", "0.05", "--workers", "2", "--seed", "1",
+    ],
+)
+
+
+def run_fresh(body: str) -> None:
+    """Run ``body`` in a new interpreter with the package importable."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{body}"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_uniform_law_runs_do_not_load_scipy(tmp_path):
+    runs = [
+        argv + ["--out", str(tmp_path / str(i))]
+        for i, argv in enumerate(UNIFORM_LAW_RUNS)
+    ]
+    run_fresh(
+        f"""
+import mefsc
+from mefsc.bench_cli import main
+heavy = ("scipy", "numpy.testing", "numpy.f2py")
+loaded = [m for m in sys.modules if m.startswith(heavy)]
+assert not loaded, loaded
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+    )
+
+
+def test_non_uniform_laws_load_scipy(tmp_path):
+    argv = [
+        "--problem", "3", "--elements", "1", "--mc-samples", "300",
+        "--duration", "0.05", "--warmstart-duration", "0.05", "--out", str(tmp_path),
+    ]
+    run_fresh(
+        f"""
+import numpy as np
+from mefsc import Distribution, exact_problem1_moments
+from mefsc.bench_cli import main
+assert main({argv!r}) == 0
+law = Distribution.truncated_gamma(10.0, 0.1, 340.0, 920.0)
+series = exact_problem1_moments(np.array([0.0, 1.0]), law)
+assert np.all(np.isfinite(series.mean)), series.mean
+assert "scipy" in sys.modules
+"""
+    )

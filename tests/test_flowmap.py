@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mefsc import MODELS, Distribution, build_quadrature, enriched_germs, taylor_propagate
+from mefsc import MODELS, Distribution, ModelSpec, build_quadrature, enriched_germs
 
 OSC = MODELS["oscillator"]
 THIRD = MODELS["third_order"]
@@ -88,6 +88,47 @@ def test_rhs_writes_into_out(model, centers):
     fresh = model.rhs(0.0, nodes, state)
     assert np.array_equal(out, fresh)
     assert np.array_equal(np.signbit(out), np.signbit(fresh))
+
+
+def taylor_propagate(
+    model: ModelSpec,
+    t: float,
+    nodes: np.ndarray,
+    state_node_values,
+    h: float,
+    order: int,
+) -> np.ndarray:
+    """Truncated Taylor push of the state to t + h, per node.
+
+    s(t+h) = sum_{m<=order} h^m/m! D^m s. This is the flow map used to
+    justify the germ set; the solver steps with RK4, so it serves only to
+    check the derivative chains here.
+    """
+    s = np.asarray(state_node_values, dtype=float)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    if order > model.max_enrichment:
+        raise ValueError("order exceeds the model's derivative chain")
+    out = s.copy()
+    if order == 0:
+        return out
+    n = model.state_dim
+    factor = 1.0
+    if model.companion:
+        # Rows i..n-1 of the state are already derivatives of row 0, so one
+        # scalar chain serves every component.
+        chain = [s[i] for i in range(n)]
+        for j in range(order):
+            chain.append(model.derivative_chain(t, nodes, s, j)[0])
+        for m in range(1, order + 1):
+            factor *= h / m
+            for i in range(n):
+                out[i] += factor * chain[i + m]
+    else:
+        for m in range(1, order + 1):
+            factor *= h / m
+            out += factor * model.derivative_chain(t, nodes, s, m - 1)
+    return out
 
 
 @pytest.mark.parametrize("model,centers,n", [(OSC, (400.0,), 2), (THIRD, (2.5,), 3)])

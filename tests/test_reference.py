@@ -56,6 +56,16 @@ def test_exact_moments_vs_direct_sampling(law, sampler):
     assert abs(series.variance[0, 0] - var_sample) < 5.0 * se_var
 
 
+@pytest.mark.parametrize("law", [UNIFORM_K, BETA_K, GAMMA_K])
+def test_exact_moments_do_not_depend_on_grid_length(law):
+    times = np.arange(2001) * 1e-3
+    full = exact_problem1_moments(times, law)
+    for k in (1, 2, 65, 66, 129, 1025):
+        prefix = exact_problem1_moments(times[:k], law)
+        assert np.array_equal(prefix.mean, full.mean[:, :k])
+        assert np.array_equal(prefix.variance, full.variance[:, :k])
+
+
 def test_gamma_reference_keeps_parent_mass():
     # Under the parent-gamma convention the weights sum to the parent mass
     # of the quantile window, not to one.
