@@ -4,11 +4,15 @@ Global statistics come from the per-element conditional moments through the
 laws of total expectation and total variance. Elements are solved together
 in one batched time loop; with several workers each takes a contiguous range
 of element indices as its batch, and a fixed by-index reduction keeps the
-result independent of scheduling.
+result independent of scheduling. :func:`fan_out` is the one place that
+spreads calls over worker processes, for the solve and the Monte Carlo
+oracle alike.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -115,6 +119,42 @@ def total_variance(local_means, local_vars, masses) -> float:
     return float(_total_moments(local_means, local_vars, masses)[1])
 
 
+def fan_out(fn, calls, workers: int):
+    """Yield ``fn(*call)`` for each call in ``calls``, in call order.
+
+    ``calls`` is drawn lazily, ``workers`` calls at a time, so at most one
+    group's arguments are held at once. Of each group the parent runs the
+    first call itself and ``workers - 1`` forked processes run the rest. A
+    group's results are yielded once every call of the group has finished;
+    if any of them failed, the error of the first failing call is raised
+    instead and no later call is drawn, so the error is that of the
+    lowest-index failing call. The pool is shut down before the error leaves
+    and when the generator ends or is closed. With one worker or one call
+    everything runs inline and no pool is built.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    calls = iter(calls)
+    group = list(islice(calls, workers))
+    if len(group) < 2:
+        yield from (fn(*call) for call in chain(group, calls))
+        return
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    with ProcessPoolExecutor(max_workers=len(group) - 1) as pool:
+        while group:
+            futures = [pool.submit(fn, *call) for call in group[1:]]
+            try:
+                results = [fn(*group[0])]
+            finally:
+                wait(futures)
+            results += [future.result() for future in futures]
+            # Free this group's arguments before the next group is drawn.
+            del group, futures
+            yield from results
+            group = list(islice(calls, workers))
+
+
 def _batch_args(config: SolverConfig, partition: RandomSpacePartition, ids):
     return (
         partition.boxes[ids],
@@ -137,7 +177,8 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     local moments are reduced to global ones inside its time loop, a block of
     steps at a time, so no per-element series is stored. With ``workers > 1``
     the elements are split into contiguous index ranges, one batch per worker
-    process, and their series are reduced once all have returned. An
+    (the parent solves the first range; see :func:`fan_out`), and their
+    series are reduced once all have returned. An
     element's numbers do not depend on its batch, and the reduction sums
     over elements in index order, so the output is bit-identical for any
     worker count, block size and completion order.
@@ -158,20 +199,11 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
 
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
     streamed = len(batches) == 1 and not config.keep_local
-    if len(batches) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            futures = [
-                pool.submit(run_elements, *_batch_args(config, partition, ids))
-                for ids in batches
-            ]
-            locals_ = [series for future in futures for series in future.result()]
-    else:
-        locals_ = run_elements(
-            *_batch_args(config, partition, batches[0]),
-            reduce=reduce if streamed else None,
-        )
+    solve = partial(run_elements, reduce=reduce) if streamed else run_elements
+    calls = [_batch_args(config, partition, ids) for ids in batches]
+    locals_ = [
+        series for batch in fan_out(solve, calls, config.workers) for series in batch
+    ]
     if not streamed:
         reduce(
             0,

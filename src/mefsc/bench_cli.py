@@ -155,7 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reference", choices=REFERENCES, help="reference oracle")
     parser.add_argument("--mc-samples", type=int, help="Monte Carlo sample count")
     parser.add_argument("--seed", type=int, help="Monte Carlo seed")
-    parser.add_argument("--workers", type=int, help="parallel element workers")
+    parser.add_argument(
+        "--workers", type=int, help="worker processes for the solve and Monte Carlo"
+    )
     parser.add_argument("--out", help="output directory for the CSV files")
     parser.add_argument("--config", help="flat key=value config file")
     return parser
@@ -309,6 +311,7 @@ def _reference_series(config: RunConfig, solver: MomentSeries) -> MomentSeries:
         config.dt,
         config.duration,
         config.seed,
+        workers=config.workers,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -321,12 +322,20 @@ def gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
     The ten-point rule is served from a frozen table; any other count is
     generated by Newton iteration on the Legendre recurrence (used by the
-    reference oracles, which run much denser rules).
+    reference oracles, which run much denser rules) once per count and
+    cached. Every call returns fresh copies, so a caller that writes into
+    them cannot change the rule a later call gets.
     """
     if count < 1:
         raise ValueError("need at least one quadrature point")
     if count == 10:
         return _GL10_NODES.copy(), _GL10_WEIGHTS.copy()
+    nodes, weights = _newton_gauss_legendre(count)
+    return nodes.copy(), weights.copy()
+
+
+@lru_cache(maxsize=8)
+def _newton_gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     if count == 1:
         return np.zeros(1), np.full(1, 2.0)
     k = np.arange(count)

@@ -12,7 +12,7 @@ from math import isfinite
 
 import numpy as np
 
-from .aggregate import MomentSeries
+from .aggregate import MomentSeries, fan_out
 from .flowmap import ModelSpec
 from .fsc_element import NumericalBlowup, step_count
 from .measures import Distribution, DistributionKind, build_quadrature, gauss_legendre
@@ -224,6 +224,26 @@ def quasi_exact_moments(
     )
 
 
+def _monte_carlo_batch(model: ModelSpec, params: np.ndarray, times: np.ndarray, dt: float):
+    """Sample count, per-step mean and per-step sum of squared deviations of
+    one Monte Carlo batch, integrated with RK4 steps of ``dt`` on ``times``."""
+    n = model.state_dim
+    states = np.array(model.initial_state(params), dtype=float)
+    chunks = _rk4_chunks(params, states)
+    deviation = np.empty_like(states)
+    batch_mean = np.empty((n, times.size))
+    batch_m2 = np.empty((n, times.size))
+    for i in range(times.size):
+        if i:
+            _pointwise_rk4(model, chunks, times[i - 1], dt)
+        bm = states.mean(axis=1)
+        np.subtract(states, bm[:, None], out=deviation)
+        deviation *= deviation
+        batch_mean[:, i] = bm
+        batch_m2[:, i] = deviation.sum(axis=1)
+    return states.shape[1], batch_mean, batch_m2
+
+
 def monte_carlo_moments(
     model: ModelSpec,
     distributions: tuple[Distribution, ...],
@@ -233,15 +253,19 @@ def monte_carlo_moments(
     seed: int,
     *,
     batch_size: int = _MC_BATCH,
+    workers: int = 1,
 ) -> MomentSeries:
     """Monte Carlo moments with the solver's own step size and integrator.
 
     Samples come from a single counter-based stream (Philox) through the
     inverse CDFs, are integrated in fixed-size batches, and per-step batch
-    statistics are merged with the standard parallel-variance update. The
-    whole pipeline is sequential and order-fixed, so a given (seed,
-    n_samples) pair reproduces bit-identical series on any machine.
-    ``duration`` must be a whole number of steps.
+    statistics are merged in batch order with the standard parallel-variance
+    update (Chan, Golub & LeVeque 1983). The parent process draws every
+    batch's samples in order; with ``workers > 1`` the batches are
+    integrated on that many processes (:func:`~mefsc.aggregate.fan_out`).
+    Each batch's arithmetic and the merge order are fixed, so a given
+    (seed, n_samples) pair reproduces bit-identical series on any machine
+    and for any worker count. ``duration`` must be a whole number of steps.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -250,30 +274,19 @@ def monte_carlo_moments(
     n = model.state_dim
     rng = np.random.Generator(np.random.Philox(seed))
 
+    def batches():
+        for start in range(0, n_samples, batch_size):
+            b = min(batch_size, n_samples - start)
+            uniforms = rng.random((b, len(distributions)))
+            params = np.column_stack(
+                [dist.ppf(uniforms[:, k]) for k, dist in enumerate(distributions)]
+            )
+            yield model, params, times, dt
+
     count = 0
     mean = np.zeros((n, n_steps + 1))
     m2 = np.zeros((n, n_steps + 1))
-    for start in range(0, n_samples, batch_size):
-        b = min(batch_size, n_samples - start)
-        uniforms = rng.random((b, len(distributions)))
-        params = np.column_stack(
-            [dist.ppf(uniforms[:, k]) for k, dist in enumerate(distributions)]
-        )
-        states = np.array(model.initial_state(params), dtype=float)
-        chunks = _rk4_chunks(params, states)
-        deviation = np.empty_like(states)
-        batch_mean = np.empty((n, n_steps + 1))
-        batch_m2 = np.empty((n, n_steps + 1))
-
-        for i in range(n_steps + 1):
-            if i:
-                _pointwise_rk4(model, chunks, times[i - 1], dt)
-            bm = states.mean(axis=1)
-            np.subtract(states, bm[:, None], out=deviation)
-            deviation *= deviation
-            batch_mean[:, i] = bm
-            batch_m2[:, i] = deviation.sum(axis=1)
-
+    for b, batch_mean, batch_m2 in fan_out(_monte_carlo_batch, batches(), workers):
         total = count + b
         delta = batch_mean - mean
         mean += delta * (b / total)

@@ -1,6 +1,7 @@
 """Element-to-global moment aggregation and the multi-element driver."""
 
 import dataclasses
+import multiprocessing
 import tracemalloc
 from unittest import mock
 
@@ -11,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from mefsc import (
     MODELS,
     Distribution,
+    NumericalBlowup,
+    RandomSpacePartition,
     SolverConfig,
     WarmStart,
+    aggregate,
     fsc_element,
     partition_random_domain,
     run_element,
@@ -169,6 +173,27 @@ def test_run_me_fsc_workers_do_not_change_results():
     parallel = run_me_fsc(SolverConfig(**base, workers=2))
     assert np.array_equal(sequential.mean, parallel.mean)
     assert np.array_equal(sequential.variance, parallel.variance)
+
+
+@pytest.mark.parametrize("unstable,named", [((1, 2, 3), 1), ((2, 3), 2)])
+def test_pool_blowup_names_lowest_offending_element(monkeypatch, unstable, named):
+    # With dt = 1 RK4 keeps stiffness 340-460 bounded and blows up stiffness
+    # 3000-3600 (test_batch_blowup_names_lowest_offending_element). Two
+    # workers split elements 0-3 into ranges {0, 1}, solved by the parent,
+    # and {2, 3}, solved by a forked worker.
+    dists = (Distribution.uniform(340.0, 3600.0),)
+    boxes = np.array(
+        [[[3000.0, 3600.0]] if e in unstable else [[340.0, 460.0]] for e in range(4)]
+    )
+    partition = RandomSpacePartition(dists, (4,), boxes, np.full(4, 0.25))
+    monkeypatch.setattr(aggregate, "partition_random_domain", lambda *_: partition)
+    config = SolverConfig(OSC, dists, (4,), 4, dt=1.0, duration=1000.0, workers=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBlowup) as info:
+            run_me_fsc(config)
+    assert info.value.element_id == named
+    assert info.value.t > 0.0
+    assert multiprocessing.active_children() == []
 
 
 def test_solver_config_validation():

@@ -4,12 +4,14 @@ import csv
 import filecmp
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mefsc import Distribution, DistributionKind, SolverConfig, run_me_fsc, MODELS, WarmStart
+from mefsc import bench_cli, reference
 from mefsc.bench_cli import ConfigError, main, parse_config, run_and_emit
 
 
@@ -318,3 +320,28 @@ assert np.all(np.isfinite(series.mean)), series.mean
 assert "scipy" in sys.modules
 """
     )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--problem", "3", "--duration", "0.1", "--warmstart-duration", "0.05"],
+        ["--problem", "4", "--duration", "0.1"],
+    ],
+)
+def test_monte_carlo_csvs_do_not_depend_on_workers(tmp_path, monkeypatch, flags):
+    # Batches of 1000 samples, so the 3000-sample oracle runs three batches,
+    # more than the two workers.
+    monkeypatch.setattr(
+        bench_cli,
+        "monte_carlo_moments",
+        partial(reference.monte_carlo_moments, batch_size=1000),
+    )
+    common = flags + [
+        "--elements", "2", "--reference", "monte_carlo", "--mc-samples", "3000",
+    ]
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert main(common + ["--workers", workers, "--out", str(out)]) == 0
+    for name in ("moments.csv", "errors.csv"):
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False)

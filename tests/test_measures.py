@@ -12,6 +12,7 @@ from mefsc import (
     element_measure,
     gauss_legendre,
     inner_product,
+    measures,
     partition_random_domain,
 )
 
@@ -46,6 +47,19 @@ def test_gauss_legendre_single_point():
     x, w = gauss_legendre(1)
     assert x.tolist() == [0.0]
     assert w.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("count", [1, 10, 200])
+def test_gauss_legendre_rule_is_cached_without_sharing_arrays(count):
+    x, w = gauss_legendre(count)
+    want_x, want_w = x.copy(), w.copy()
+    if count != 10:
+        built_x, built_w = measures._newton_gauss_legendre.__wrapped__(count)
+        assert np.array_equal(want_x, built_x) and np.array_equal(want_w, built_w)
+    x[:] = 0.0
+    w[:] = 0.0
+    again_x, again_w = gauss_legendre(count)
+    assert np.array_equal(again_x, want_x) and np.array_equal(again_w, want_w)
 
 
 def test_uniform_pdf_cdf_ppf():

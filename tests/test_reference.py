@@ -133,6 +133,30 @@ def test_mc_batching_only_reorders_arithmetic():
     assert np.allclose(big.variance, small.variance, rtol=1e-11, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "name,dists,dt",
+    [
+        ("oscillator", (UNIFORM_K,), 1e-2),
+        ("vanderpol", (Distribution.uniform(150.0, 450.0), BETA_K), 5e-3),
+    ],
+)
+def test_mc_worker_count_does_not_change_bits(name, dists, dt):
+    # 7300 samples in batches of 1000: eight batches, more than the workers,
+    # and a partial last one.
+    model = MODELS[name]
+    runs = [
+        monte_carlo_moments(
+            model, dists, 7300, dt, 20 * dt, seed=5, batch_size=1000, workers=workers
+        )
+        for workers in (1, 2, 3)
+    ]
+    for run in runs[1:]:
+        assert np.array_equal(run.mean, runs[0].mean)
+        assert np.array_equal(run.variance, runs[0].variance)
+    with pytest.raises(ValueError, match="workers"):
+        monte_carlo_moments(model, dists, 10, dt, dt, seed=5, workers=0)
+
+
 def test_mc_standard_error_scaling():
     # Spread of the mean estimate should shrink like 1/n: slope -1 on a
     # log-log plot across a 16x sample-size step.
