@@ -11,7 +11,6 @@ oracle alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -119,6 +118,32 @@ def total_variance(local_means, local_vars, masses) -> float:
     return float(_total_moments(local_means, local_vars, masses)[1])
 
 
+# glibc's mallopt parameter numbers.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _reuse_freed_heap(step_bytes: int) -> None:
+    """Keep the heap that one step frees for the next, here and in forked workers.
+
+    Every step of a batch allocates and frees arrays of up to about
+    ``step_bytes``. glibc hands a freed heap top back to the OS once it
+    passes twice the largest block the process has freed so far, so a
+    process that never freed a much larger block faults the same pages in
+    again at every step. On the three-mode benchmark's two-worker solve
+    that was 25000 minor faults per batch against 5000, and about 9% of
+    the solve. Fixing the mmap and trim thresholds at about two and four
+    times ``step_bytes`` keeps that memory for reuse; forked workers
+    inherit them. Where the C library has no ``mallopt`` nothing is done.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mmap_bytes = min(32 << 20, max(4 << 20, 2 * step_bytes))
+        mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
+        mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
+
+
 def fan_out(fn, calls, workers: int):
     """Yield ``fn(*call)`` for each call in ``calls``, in call order.
 
@@ -140,8 +165,10 @@ def fan_out(fn, calls, workers: int):
         yield from (fn(*call) for call in chain(group, calls))
         return
     from concurrent.futures import ProcessPoolExecutor, wait
+    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(max_workers=len(group) - 1) as pool:
+    # Forked workers inherit the solve's block pipes (see run_me_fsc).
+    with ProcessPoolExecutor(len(group) - 1, mp_context=get_context("fork")) as pool:
         while group:
             futures = [pool.submit(fn, *call) for call in group[1:]]
             try:
@@ -153,6 +180,167 @@ def fan_out(fn, calls, workers: int):
             del group, futures
             yield from results
             group = list(islice(calls, workers))
+
+
+class _Stopped(Exception):
+    """A worker batch was told to stop because an earlier batch failed."""
+
+
+# Both ends of each block pipe of the solves in progress, keyed by the
+# descriptor of the worker's end. The pipes are made before the pool forks,
+# so a forked worker finds its end here, and closes every parent end it
+# inherited: then a pipe joins only its worker and the parent, and a worker
+# whose parent has gone gets an error instead of waiting to send for good.
+_PIPES: dict = {}
+
+
+class _BlockSender:
+    """A worker batch's end of its block pipe to the parent.
+
+    It pickles as the key of its pipe in ``_PIPES``. Each block of local
+    moments goes to the parent as it fills; a batch that fails, or that the
+    parent has stopped, sends ``None``.
+    """
+
+    def __init__(self, key: int):
+        self.key = key
+        self.conn = None
+
+    def open(self) -> None:
+        for parent_end, _ in _PIPES.values():
+            parent_end.close()
+        self.conn = _PIPES[self.key][1]
+
+    def __call__(self, start, means, variances) -> None:
+        if self.conn.poll():
+            raise _Stopped("an earlier batch failed")
+        self.conn.send((start, means, variances))
+
+    def close(self, failed: bool) -> None:
+        try:
+            if failed:
+                self.conn.send(None)
+        except OSError:
+            pass  # the parent has already stopped reading
+        finally:
+            self.conn.close()
+
+
+class _BlockReducer:
+    """The parent's side of a solve: global moments from every batch's blocks.
+
+    The parent's own batch, the first, hands it each block of its local
+    moments. It then takes the same block from each worker batch's pipe, in
+    batch order, and reduces their concatenation, which is in element-index
+    order. All batches use one block width, so the blocks line up.
+
+    A worker batch that fails, or whose process dies, ends its pipe early.
+    From then on nothing is reduced: the batches after it are stopped, and
+    those before it are still read to their end, so that every batch that
+    could raise a lower element id still runs (see :func:`fan_out`). When
+    the parent's own batch fails, every worker batch is stopped and read to
+    its end, so none is left blocked on a full pipe.
+    """
+
+    def __init__(self, masses, mean, variance, n_workers: int):
+        self.masses = masses
+        self.mean = mean
+        self.variance = variance
+        self.failed = False
+        self.pipes = []
+        self.senders = []
+        if n_workers:
+            from multiprocessing import Pipe
+
+            for _ in range(n_workers):
+                mine, theirs = Pipe()
+                _PIPES[theirs.fileno()] = (mine, theirs)
+                self.pipes.append(mine)
+                self.senders.append(_BlockSender(theirs.fileno()))
+
+    def open(self) -> None:
+        # The pool has forked by now, so the workers hold their ends. With
+        # the parent's copies closed, a worker that dies ends its pipe.
+        for sender in self.senders:
+            _PIPES[sender.key][1].close()
+
+    def __call__(self, start, means, variances) -> None:
+        parts = [(means, variances)]
+        for b in range(len(self.pipes)):
+            if self.pipes[b] is not None:
+                block = self._receive(b)
+                if block is not None:
+                    parts.append(block[1:])
+        if self.failed:
+            return
+        if len(parts) > 1:
+            means = np.concatenate([m for m, _ in parts])
+            variances = np.concatenate([v for _, v in parts])
+        stop = start + means.shape[2]
+        self.mean[:, start:stop], self.variance[:, start:stop] = _total_moments(
+            means, variances, self.masses
+        )
+
+    def close(self, failed: bool) -> None:
+        if failed:
+            self.failed = True
+            self._stop(range(len(self.pipes)))
+            for b in range(len(self.pipes)):
+                while self.pipes[b] is not None:
+                    self._receive(b)
+
+    def release(self) -> None:
+        """Close and forget every pipe, whether or not the solve got to run."""
+        for sender in self.senders:
+            for end in _PIPES.pop(sender.key):
+                end.close()
+
+    def _receive(self, b: int):
+        """Next block from worker batch ``b``; None once the batch has failed."""
+        try:
+            block = self.pipes[b].recv()
+        except (EOFError, ConnectionResetError):
+            # The process died (a reset if it left our stop unread); the
+            # pool reports it.
+            block = None
+        if block is None:
+            self.failed = True
+            self._stop(range(b + 1, len(self.pipes)))
+        if block is None or block[0] + block[1].shape[2] == self.mean.shape[1]:
+            self.pipes[b] = None
+        return block
+
+    def _stop(self, batches) -> None:
+        for b in batches:
+            if self.pipes[b] is not None:
+                try:
+                    self.pipes[b].send(None)
+                except OSError:
+                    pass  # the batch has already ended
+
+
+def _solve_batch(outlet, keep_local: bool, n_elements: int, *args):
+    """Solve one batch, handing its moment blocks to ``outlet``.
+
+    Returns the batch's fallback events and orthogonality residuals, and its
+    local series with ``keep_local``.
+    """
+    outlet.open()
+    try:
+        series = run_elements(
+            *args, reduce=outlet, keep_local=keep_local, block_elements=n_elements
+        )
+    except BaseException:
+        outlet.close(failed=True)
+        raise
+    outlet.close(failed=False)
+    events = [ev for one in series for ev in one.fallback_events]
+    residuals = [
+        one.max_orthogonality_residual
+        for one in series
+        if one.max_orthogonality_residual is not None
+    ]
+    return events, residuals, series if keep_local else []
 
 
 def _batch_args(config: SolverConfig, partition: RandomSpacePartition, ids):
@@ -173,15 +361,16 @@ def _batch_args(config: SolverConfig, partition: RandomSpacePartition, ids):
 def run_me_fsc(config: SolverConfig) -> MomentSeries:
     """Partition, solve every element, and aggregate at each time step.
 
-    With one worker and no ``keep_local`` the elements form one batch whose
-    local moments are reduced to global ones inside its time loop, a block of
-    steps at a time, so no per-element series is stored. With ``workers > 1``
-    the elements are split into contiguous index ranges, one batch per worker
-    (the parent solves the first range; see :func:`fan_out`), and their
-    series are reduced once all have returned. An
-    element's numbers do not depend on its batch, and the reduction sums
-    over elements in index order, so the output is bit-identical for any
-    worker count, block size and completion order.
+    The elements are split into contiguous index ranges, one batch per
+    worker; the parent solves the first range and forked processes the rest
+    (see :func:`fan_out`). Each batch hands its local moments on a block of
+    steps at a time, the workers' through a pipe, and the parent reduces
+    each block to global moments once every batch has delivered it, so no
+    per-element series is stored. Only ``keep_local`` stores the series and
+    final states, and returns them in ``local_series``. An element's numbers
+    do not depend on its batch, and the reduction sums over elements in
+    index order, so the output is bit-identical for any worker count, block
+    size and completion order.
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     masses = partition.masses
@@ -191,39 +380,37 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     global_mean = np.empty((config.model.state_dim, n_steps + 1))
     global_var = np.empty_like(global_mean)
 
-    def reduce(start, means, variances):
-        stop = start + means.shape[2]
-        global_mean[:, start:stop], global_var[:, start:stop] = _total_moments(
-            means, variances, masses
-        )
-
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
-    streamed = len(batches) == 1 and not config.keep_local
-    solve = partial(run_elements, reduce=reduce) if streamed else run_elements
-    calls = [_batch_args(config, partition, ids) for ids in batches]
-    locals_ = [
-        series for batch in fan_out(solve, calls, config.workers) for series in batch
-    ]
-    if not streamed:
-        reduce(
-            0,
-            np.stack([series.mean for series in locals_]),
-            np.stack([series.variance for series in locals_]),
-        )
+    reducer = _BlockReducer(masses, global_mean, global_var, len(batches) - 1)
+    events, residuals, locals_ = [], [], []
+    try:
+        calls = [
+            (outlet, config.keep_local, n_elements, *_batch_args(config, partition, ids))
+            for outlet, ids in zip([reducer, *reducer.senders], batches)
+        ]
+        if len(calls) > 1:
+            # A call that cannot be pickled never reaches its worker, and the
+            # parent would wait on that batch's pipe for good: fail here.
+            import pickle
 
-    events = [ev for series in locals_ for ev in series.fallback_events]
-    residuals = [
-        series.max_orthogonality_residual
-        for series in locals_
-        if series.max_orthogonality_residual is not None
-    ]
+            pickle.dumps(calls[1])
+            nodes = config.points_per_axis ** len(config.distributions)
+            _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
+        for batch_events, batch_residuals, batch_locals in fan_out(
+            _solve_batch, calls, config.workers
+        ):
+            events += batch_events
+            residuals += batch_residuals
+            locals_ += batch_locals
+    finally:
+        reducer.release()
     return MomentSeries(
-        times=locals_[0].times,
+        times=np.arange(n_steps + 1) * config.dt,
         mean=global_mean,
         variance=global_var,
         component_names=config.model.component_names,
         partition=partition,
         fallback_events=events,
         max_orthogonality_residual=max(residuals) if residuals else None,
-        local_series=list(locals_) if config.keep_local else None,
+        local_series=locals_ if config.keep_local else None,
     )

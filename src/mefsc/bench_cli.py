@@ -275,6 +275,8 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError("closed_form reference exists only for problem 1")
     if mc_samples < 1:
         raise ConfigError("mc_samples must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     if warm_degree < 0:
         raise ConfigError("warmstart degree must be >= 0")
     if warm_duration < 0:

@@ -39,8 +39,9 @@ from .measures import Distribution, QuadratureGrid, build_quadrature
 WHOLE_STEP_RTOL = 1e-9
 
 # Size of the block buffer (means and variances together) that streamed local
-# moments pass through on their way to ``run_elements``'s ``reduce``.
-_BLOCK_BYTES = 1 << 20
+# moments pass through on their way to ``run_elements``'s ``reduce``, summed
+# over the batches of a run.
+_BLOCK_BYTES = 1 << 18
 
 
 def step_count(duration: float, dt: float, what: str = "duration") -> int:
@@ -126,8 +127,11 @@ class WarmStart:
 class LocalSeries:
     """Per-step local moments of one element, plus solver diagnostics.
 
-    ``mean`` and ``variance`` are (n, steps+1), or (n, 0) when the batch
-    handed its moments to a reduction instead of storing them.
+    ``mean`` and ``variance`` are (n, steps+1) and ``final_state`` is the
+    element's state at the horizon when the batch stored its series (see
+    ``keep_local`` of :func:`run_elements`). When the batch only handed its
+    moments to a reduction, the moment arrays are (n, 0) and ``final_state``
+    is None.
     """
 
     times: np.ndarray
@@ -135,7 +139,7 @@ class LocalSeries:
     variance: np.ndarray
     fallback_events: list[FallbackEvent]
     max_orthogonality_residual: float | None
-    final_state: ElementState
+    final_state: ElementState | None = None
 
 
 def _element_rows(rows: np.ndarray, n_el: int) -> np.ndarray:
@@ -333,6 +337,8 @@ def run_elements(
     audit_orthogonality: bool = False,
     *,
     reduce=None,
+    keep_local: bool = False,
+    block_elements: int | None = None,
 ) -> list[LocalSeries]:
     """Integrate a batch of elements in one time loop.
 
@@ -347,8 +353,13 @@ def run_elements(
     they are buffered a block of steps at a time, and
     ``reduce(start, means, variances)`` receives the (E, n, k) means and
     variances of steps ``start`` to ``start + k - 1`` each time the block
-    fills and after the last step. The series returned then hold (n, 0)
-    moment arrays.
+    fills and after the last step. The block holds about ``_BLOCK_BYTES``
+    for ``block_elements`` elements (default: this batch's), so batches of
+    one run that pass the run's element count share block boundaries. The
+    series returned then hold (n, 0) moment arrays and no final state.
+    Without ``reduce``, or with ``keep_local``, every step is stored: the
+    series and final states are returned, and ``reduce`` (if any) receives
+    the whole series as one block after the last step.
     """
     check_truncation(model, truncation)
     grids = [
@@ -372,11 +383,15 @@ def run_elements(
     else:
         cands = _candidates(model, 0.0, state, nodes, truncation, n_el)
     basis = orthogonalize(cands, weights)
+    del cands
     modes = _element_rows(state, n_el) @ basis.projector
 
+    store = keep_local or reduce is None
     width = n_steps + 1
-    if reduce is not None:
-        width = min(width, max(1, _BLOCK_BYTES // (16 * n_el * n)))
+    if not store:
+        grids = None  # only the final states use them
+        per_step = 16 * (block_elements or n_el) * n
+        width = min(width, max(1, _BLOCK_BYTES // per_step))
     mean = np.empty((n_el, n, width))
     variance = np.empty((n_el, n, width))
     start = 0
@@ -417,7 +432,7 @@ def run_elements(
         t = times[i + 1]
         record(i + 1, modes, basis)
 
-    if reduce is not None:
+    if not store:
         mean = variance = np.empty((n_el, n, 0))
     return [
         LocalSeries(
@@ -428,12 +443,16 @@ def run_elements(
             max_orthogonality_residual=(
                 float(max_residual[e]) if audit_orthogonality else None
             ),
-            final_state=ElementState(
-                t=times[-1],
-                basis=basis.element(e),
-                modes=modes[e][:, basis.kept[e]],
-                element_id=int(ids[e]),
-                grid=grids[e],
+            final_state=(
+                ElementState(
+                    t=times[-1],
+                    basis=basis.element(e),
+                    modes=modes[e][:, basis.kept[e]],
+                    element_id=int(ids[e]),
+                    grid=grids[e],
+                )
+                if store
+                else None
             ),
         )
         for e in range(n_el)

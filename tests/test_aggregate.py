@@ -2,7 +2,11 @@
 
 import dataclasses
 import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,6 +33,7 @@ from mefsc import (
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
 THIRD = MODELS["third_order"]
+VDP = MODELS["vanderpol"]
 P1_DIST = (Distribution.uniform(340.0, 460.0),)
 
 
@@ -175,24 +180,164 @@ def test_run_me_fsc_workers_do_not_change_results():
     assert np.array_equal(sequential.variance, parallel.variance)
 
 
-@pytest.mark.parametrize("unstable,named", [((1, 2, 3), 1), ((2, 3), 2)])
-def test_pool_blowup_names_lowest_offending_element(monkeypatch, unstable, named):
+@contextmanager
+def time_limit(seconds: int):
+    """Fail with TimeoutError if the block runs longer than ``seconds``.
+
+    The worker processes are killed first: a parent stuck with a worker
+    blocked on a pipe could not otherwise unwind, because its pool waits
+    for that worker.
+    """
+
+    def expire(*_):
+        for child in multiprocessing.active_children():
+            child.kill()
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "unstable,named,n_elements,workers,block_steps",
+    [
+        pytest.param((1, 2, 3), 1, 4, 2, None, id="unstable0-1"),
+        pytest.param((2, 3), 2, 4, 2, None, id="unstable1-2"),
+        pytest.param((1,), 1, 4, 2, None, id="parent-range"),
+        pytest.param((1,), 1, 4, 2, 2, id="parent-range-small-blocks"),
+        pytest.param((2, 3), 2, 4, 2, 2, id="worker-range-small-blocks"),
+        pytest.param((1, 2, 3), 1, 4, 2, 2, id="both-ranges-small-blocks"),
+        pytest.param((3, 5), 3, 6, 3, None, id="two-worker-ranges"),
+        pytest.param((3, 5), 3, 6, 3, 2, id="two-worker-ranges-small-blocks"),
+        pytest.param((5,), 5, 6, 3, 2, id="last-worker-range-small-blocks"),
+    ],
+)
+def test_pool_blowup_names_lowest_offending_element(
+    monkeypatch, unstable, named, n_elements, workers, block_steps
+):
     # With dt = 1 RK4 keeps stiffness 340-460 bounded and blows up stiffness
-    # 3000-3600 (test_batch_blowup_names_lowest_offending_element). Two
-    # workers split elements 0-3 into ranges {0, 1}, solved by the parent,
-    # and {2, 3}, solved by a forked worker.
+    # 3000-3600 (test_batch_blowup_names_lowest_offending_element). The
+    # workers split the elements into contiguous ranges; the parent solves
+    # the first and forked workers the rest. With blocks of two steps every
+    # failing range has sent blocks before it raises, and the batches after
+    # a failing one are stopped.
+    if block_steps is not None:
+        monkeypatch.setattr(
+            fsc_element, "_BLOCK_BYTES", block_bytes(block_steps, n_elements, 2)
+        )
     dists = (Distribution.uniform(340.0, 3600.0),)
     boxes = np.array(
-        [[[3000.0, 3600.0]] if e in unstable else [[340.0, 460.0]] for e in range(4)]
+        [
+            [[3000.0, 3600.0]] if e in unstable else [[340.0, 460.0]]
+            for e in range(n_elements)
+        ]
     )
-    partition = RandomSpacePartition(dists, (4,), boxes, np.full(4, 0.25))
+    masses = np.full(n_elements, 1.0 / n_elements)
+    partition = RandomSpacePartition(dists, (n_elements,), boxes, masses)
     monkeypatch.setattr(aggregate, "partition_random_domain", lambda *_: partition)
-    config = SolverConfig(OSC, dists, (4,), 4, dt=1.0, duration=1000.0, workers=2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    config = SolverConfig(
+        OSC, dists, (n_elements,), 4, dt=1.0, duration=1000.0, workers=workers
+    )
+    with np.errstate(over="ignore", invalid="ignore"), time_limit(60):
         with pytest.raises(NumericalBlowup) as info:
             run_me_fsc(config)
     assert info.value.element_id == named
     assert info.value.t > 0.0
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
+    # 256 elements: a default block is 128 steps, and the worker's half of
+    # it (512 kB) is more than the pipe holds. The parent's range stalls at
+    # t = 100 and then fails, by which time the worker is blocked sending its
+    # first block. Unless the parent reads it, the worker never sees that it
+    # has been stopped, and the pool waits for it for good.
+    parent = os.getpid()
+    rk4 = fsc_element._rk4
+
+    def stalling_rk4(t, modes, basis, model, nodes, dt, ids):
+        if os.getpid() == parent and t >= 100.0:
+            time.sleep(0.5)
+            raise NumericalBlowup("stalled", t, int(ids[0]))
+        return rk4(t, modes, basis, model, nodes, dt, ids)
+
+    monkeypatch.setattr(fsc_element, "_rk4", stalling_rk4)
+    config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
+    with time_limit(60):
+        with pytest.raises(NumericalBlowup, match="stalled") as info:
+            run_me_fsc(config)
+    assert (info.value.element_id, info.value.t) == (0, 100.0)
+    assert multiprocessing.active_children() == []
+
+
+WORKER_COUNT_CASES = {
+    "oscillator": SolverConfig(
+        OSC, P1_DIST, (5,), 4, dt=1e-3, duration=0.12, warmstart=WarmStart(7, 0.05)
+    ),
+    "third_order": SolverConfig(
+        THIRD,
+        (Distribution.uniform(2.0, 3.0),),
+        (5,),
+        7,
+        dt=1e-3,
+        duration=1.05,
+        warmstart=WarmStart(7, 1.0),
+    ),
+    "vanderpol": SolverConfig(
+        VDP,
+        (Distribution.uniform(150.0, 450.0), Distribution.beta(2.0, 5.0, 340.0, 460.0)),
+        (3, 2),
+        4,
+        dt=5e-3,
+        duration=0.1,
+        warmstart=WarmStart(9, 0.05),
+        points_per_axis=4,
+    ),
+    "kraichnan_orszag": SolverConfig(
+        KO,
+        tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3)),
+        (2, 2, 1),
+        6,
+        dt=5e-3,
+        duration=0.1,
+        points_per_axis=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WORKER_COUNT_CASES)
+def test_workers_do_not_change_multi_block_results(monkeypatch, name):
+    # Blocks of three steps: every batch hands over several blocks, and the
+    # last one is partial for some horizons.
+    config = dataclasses.replace(WORKER_COUNT_CASES[name], audit_orthogonality=True)
+    n_elements = int(np.prod(config.element_counts))
+    monkeypatch.setattr(
+        fsc_element,
+        "_BLOCK_BYTES",
+        block_bytes(3, n_elements, config.model.state_dim),
+    )
+    sequential = run_me_fsc(config)
+    for workers in (2, 3):
+        parallel = run_me_fsc(dataclasses.replace(config, workers=workers))
+        assert np.array_equal(sequential.times, parallel.times)
+        assert np.array_equal(sequential.mean, parallel.mean)
+        assert np.array_equal(sequential.variance, parallel.variance)
+        assert sequential.fallback_events == parallel.fallback_events
+        assert (
+            sequential.max_orthogonality_residual
+            == parallel.max_orthogonality_residual
+        )
+    stored = run_me_fsc(dataclasses.replace(config, workers=2, keep_local=True))
+    assert np.array_equal(sequential.mean, stored.mean)
+    assert np.array_equal(sequential.variance, stored.variance)
+    assert [s.final_state.element_id for s in stored.local_series] == list(
+        range(n_elements)
+    )
     assert multiprocessing.active_children() == []
 
 
@@ -230,7 +375,7 @@ def test_partition_metadata_attached():
 @pytest.mark.parametrize("block_steps", [None, 1, 7])
 @pytest.mark.parametrize("duration", [0.0, 0.6])
 def test_streamed_moments_match_stored_oscillator(monkeypatch, block_steps, duration):
-    # 601 steps is not a multiple of the default block (512 steps of 64
+    # 601 steps is not a multiple of the default block (128 steps of 64
     # oscillator elements) nor of 7.
     if block_steps is not None:
         monkeypatch.setattr(fsc_element, "_BLOCK_BYTES", block_bytes(block_steps, 64, 2))
@@ -305,6 +450,20 @@ def test_streamed_solve_memory_does_not_grow_with_elements_times_steps():
     # 8.2 MB, and stacking them doubled that: the traced peak was 26.5 MB
     # when every series was stored. Streamed, it is about 3.8 MB.
     config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1e-3, duration=1.0)
+    tracemalloc.start()
+    try:
+        run_me_fsc(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_two_worker_solve_memory_does_not_grow_with_elements_times_steps():
+    # The parent's traced peak was 28.7 MB when every batch returned its
+    # elements' series and final states; the worker's blocks now stream
+    # through a pipe and are reduced as they arrive.
+    config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1e-3, duration=1.0, workers=2)
     tracemalloc.start()
     try:
         run_me_fsc(config)

@@ -132,11 +132,22 @@ def test_too_small_basis_message(capsys):
         (["--workers", "0"], "workers must be >= 1"),
         (["--basis", "30"], "at most 18"),
         (["--warmstart-duration", "-1"], "warmstart duration must be >= 0"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_solver_inputs_rejected_with_exit_2(tmp_path, capsys, flags, message):
     assert main(["--problem", "1", "--out", str(tmp_path)] + flags) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "moments.csv").exists()
+
+
+def test_negative_seed_in_config_file_is_exit_2(tmp_path, capsys):
+    # A negative seed used to run the whole solve and then fail in the
+    # Monte Carlo oracle's Philox generator.
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = 4\nreference = monte_carlo\nseed = -1\n")
+    assert main(["--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "moments.csv").exists()
 
 
