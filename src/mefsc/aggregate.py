@@ -10,19 +10,15 @@ oracle alike.
 """
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
 from .flowmap import ModelSpec, check_truncation
-from .fsc_element import (
-    FallbackEvent,
-    LocalSeries,
-    WarmStart,
-    run_elements,
-    step_count,
-)
+from .fsc_element import FallbackEvent, WarmStart, run_elements, step_count
 from .measures import Distribution, RandomSpacePartition, partition_random_domain
 
 MASS_TOLERANCE = 1e-12
@@ -41,7 +37,6 @@ class SolverConfig:
     warmstart: WarmStart | None = None
     workers: int = 1
     points_per_axis: int = 10
-    keep_local: bool = False
     audit_orthogonality: bool = False
 
     def __post_init__(self):
@@ -70,7 +65,6 @@ class MomentSeries:
     partition: RandomSpacePartition | None = None
     fallback_events: list[FallbackEvent] = field(default_factory=list)
     max_orthogonality_residual: float | None = None
-    local_series: list[LocalSeries] | None = None
 
 
 def _check_masses(masses: np.ndarray) -> None:
@@ -91,31 +85,6 @@ def _total_moments(means: np.ndarray, variances: np.ndarray, masses: np.ndarray)
     mean = np.sum(mu * means, axis=0)
     variance = np.sum(mu * (variances + (means - mean) ** 2), axis=0)
     return mean, variance
-
-
-def total_expectation(local_means, masses) -> float:
-    """Mass-weighted combination of conditional means."""
-    local_means = np.asarray(local_means, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    if local_means.shape != masses.shape:
-        raise ValueError("one mean per element required")
-    _check_masses(masses)
-    return float(np.sum(masses * local_means))
-
-
-def total_variance(local_means, local_vars, masses) -> float:
-    """Law of total variance for a partition of the random domain.
-
-    Sum of mass-weighted conditional variances, plus the mass-weighted
-    spread of the conditional means about the total mean.
-    """
-    local_means = np.asarray(local_means, dtype=float)
-    local_vars = np.asarray(local_vars, dtype=float)
-    masses = np.asarray(masses, dtype=float)
-    if local_means.shape != masses.shape or local_vars.shape != masses.shape:
-        raise ValueError("one mean and one variance per element required")
-    _check_masses(masses)
-    return float(_total_moments(local_means, local_vars, masses)[1])
 
 
 # glibc's mallopt parameter numbers.
@@ -144,6 +113,28 @@ def _reuse_freed_heap(step_bytes: int) -> None:
         mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
 
 
+# prctl's option number that asks for a signal when the parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: end this worker when the process that forked it dies.
+
+    An idle worker holds the write ends of its own call-queue pipe, so it
+    would never see EOF and would wait for good once its parent is killed
+    without unwinding. Where the C library has ``prctl`` the kernel sends
+    the worker SIGKILL when its parent dies; a parent that died before that
+    was set up is caught by the parent-pid check.
+    """
+    import ctypes
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def fan_out(fn, calls, workers: int):
     """Yield ``fn(*call)`` for each call in ``calls``, in call order.
 
@@ -154,7 +145,8 @@ def fan_out(fn, calls, workers: int):
     if any of them failed, the error of the first failing call is raised
     instead and no later call is drawn, so the error is that of the
     lowest-index failing call. The pool is shut down before the error leaves
-    and when the generator ends or is closed. With one worker or one call
+    and when the generator ends or is closed, and its workers die with the
+    parent (see :func:`_die_with_parent`). With one worker or one call
     everything runs inline and no pool is built.
     """
     if workers < 1:
@@ -168,7 +160,12 @@ def fan_out(fn, calls, workers: int):
     from multiprocessing import get_context
 
     # Forked workers inherit the solve's block pipes (see run_me_fsc).
-    with ProcessPoolExecutor(len(group) - 1, mp_context=get_context("fork")) as pool:
+    with ProcessPoolExecutor(
+        len(group) - 1,
+        mp_context=get_context("fork"),
+        initializer=_die_with_parent,
+        initargs=(os.getpid(),),
+    ) as pool:
         while group:
             futures = [pool.submit(fn, *call) for call in group[1:]]
             try:
@@ -319,17 +316,14 @@ class _BlockReducer:
                     pass  # the batch has already ended
 
 
-def _solve_batch(outlet, keep_local: bool, n_elements: int, *args):
+def _solve_batch(outlet, n_elements: int, *args):
     """Solve one batch, handing its moment blocks to ``outlet``.
 
-    Returns the batch's fallback events and orthogonality residuals, and its
-    local series with ``keep_local``.
+    Returns the batch's fallback events and orthogonality residuals.
     """
     outlet.open()
     try:
-        series = run_elements(
-            *args, reduce=outlet, keep_local=keep_local, block_elements=n_elements
-        )
+        series = run_elements(*args, reduce=outlet, block_elements=n_elements)
     except BaseException:
         outlet.close(failed=True)
         raise
@@ -340,7 +334,7 @@ def _solve_batch(outlet, keep_local: bool, n_elements: int, *args):
         for one in series
         if one.max_orthogonality_residual is not None
     ]
-    return events, residuals, series if keep_local else []
+    return events, residuals
 
 
 def _batch_args(config: SolverConfig, partition: RandomSpacePartition, ids):
@@ -366,11 +360,10 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     (see :func:`fan_out`). Each batch hands its local moments on a block of
     steps at a time, the workers' through a pipe, and the parent reduces
     each block to global moments once every batch has delivered it, so no
-    per-element series is stored. Only ``keep_local`` stores the series and
-    final states, and returns them in ``local_series``. An element's numbers
-    do not depend on its batch, and the reduction sums over elements in
-    index order, so the output is bit-identical for any worker count, block
-    size and completion order.
+    per-element series is stored. An element's numbers do not depend on its
+    batch, and the reduction sums over elements in index order, so the
+    output is bit-identical for any worker count, block size and completion
+    order.
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     masses = partition.masses
@@ -382,10 +375,10 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
 
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
     reducer = _BlockReducer(masses, global_mean, global_var, len(batches) - 1)
-    events, residuals, locals_ = [], [], []
+    events, residuals = [], []
     try:
         calls = [
-            (outlet, config.keep_local, n_elements, *_batch_args(config, partition, ids))
+            (outlet, n_elements, *_batch_args(config, partition, ids))
             for outlet, ids in zip([reducer, *reducer.senders], batches)
         ]
         if len(calls) > 1:
@@ -396,12 +389,9 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
             pickle.dumps(calls[1])
             nodes = config.points_per_axis ** len(config.distributions)
             _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
-        for batch_events, batch_residuals, batch_locals in fan_out(
-            _solve_batch, calls, config.workers
-        ):
+        for batch_events, batch_residuals in fan_out(_solve_batch, calls, config.workers):
             events += batch_events
             residuals += batch_residuals
-            locals_ += batch_locals
     finally:
         reducer.release()
     return MomentSeries(
@@ -412,5 +402,4 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
         partition=partition,
         fallback_events=events,
         max_orthogonality_residual=max(residuals) if residuals else None,
-        local_series=locals_ if config.keep_local else None,
     )

@@ -1,5 +1,5 @@
-"""Orthogonal bases on an element grid: Gram-Schmidt, warm-start polynomials,
-projection and evaluation.
+"""Orthogonal bases on element grids: batched Gram-Schmidt and warm-start
+polynomial candidates.
 
 A basis lives entirely as node values plus squared norms; there is no symbolic
 polynomial behind it. Orthogonality is with respect to the grid's weighted
@@ -8,7 +8,7 @@ inner product, i.e. the element's conditional measure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,38 +17,6 @@ from .measures import QuadratureGrid
 # Squared-norm ratio under which a candidate counts as degenerate (1e-12 in
 # amplitude relative to its pre-orthogonalization size).
 DROP_RATIO = 1e-24
-
-
-@dataclass
-class BasisSet:
-    """Orthogonal basis vectors sampled at the element's quadrature nodes.
-
-    ``values`` is (count, n_nodes) with row 0 identically one. ``kept_flags``
-    has one entry per original candidate and records which survived the
-    degeneracy drop. ``coefficients`` is (n_candidates, count): row i holds
-    the Gram-Schmidt coefficients of candidate i on the basis, so a kept
-    candidate equals ``coefficients[i] @ values`` (a trailing 1 on its own
-    vector) and a dropped one its projection.
-    """
-
-    values: np.ndarray
-    squared_norms: np.ndarray
-    kept_flags: np.ndarray
-    coefficients: np.ndarray
-    _projector: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    def projector(self, grid: QuadratureGrid) -> np.ndarray:
-        """(n_nodes, count) matrix P such that values @ P = modes of a projection.
-
-        Cached; a BasisSet is only ever used with the grid it was built on.
-        """
-        if self._projector is None:
-            self._projector = (self.values * grid.weights).T / self.squared_norms
-        return self._projector
 
 
 @dataclass
@@ -63,8 +31,9 @@ class BasisStack:
     program.
 
     ``values`` is (E, m, Q). ``projector`` is (E, Q, m) with columns
-    psi_j * w / |psi_j|^2, so ``f @ projector`` projects node values, as
-    :meth:`BasisSet.projector` does for one element.
+    psi_j * w / |psi_j|^2, so ``f @ projector`` gives the modes of the
+    projection of node values ``f``, and ``modes @ values`` evaluates modes
+    at the nodes.
     ``coefficients`` is (E, m, m) and unit lower triangular: row i holds the
     summed coefficients of both Gram-Schmidt passes of candidate i.
     """
@@ -74,17 +43,6 @@ class BasisStack:
     squared_norms: np.ndarray
     kept: np.ndarray
     coefficients: np.ndarray
-
-    def element(self, e: int) -> BasisSet:
-        """Element ``e``'s basis with its masked rows removed."""
-        keep = self.kept[e]
-        return BasisSet(
-            values=self.values[e, keep],
-            squared_norms=self.squared_norms[e, keep],
-            kept_flags=keep.copy(),
-            coefficients=self.coefficients[e][:, keep],
-            _projector=self.projector[e][:, keep],
-        )
 
 
 def orthogonalize(
@@ -146,36 +104,6 @@ def orthogonalize(
     )
 
 
-def gram_schmidt(
-    candidate_values,
-    grid: QuadratureGrid,
-    *,
-    drop_ratio: float = DROP_RATIO,
-    check: bool = True,
-) -> BasisSet:
-    """Orthogonalize candidate node-value rows against the grid measure.
-
-    The one-element case of :func:`orthogonalize`, with dropped candidates
-    removed from the result. The first candidate must be the constant one;
-    row 0 of the result is exactly one at every node.
-
-    ``check=False`` skips validating the constant first row; callers that
-    fill the candidate buffer themselves and are called once per step can
-    afford to promise it instead.
-    """
-    cands = np.asarray(candidate_values, dtype=float)
-    if cands.ndim != 2:
-        cands = np.atleast_2d(cands)
-    n_cands, n_nodes = cands.shape
-    if n_nodes != grid.n_nodes:
-        raise ValueError("candidate values do not match the node count")
-    if n_cands < 1:
-        raise ValueError("need at least one candidate")
-    if check and not np.all(cands[0] == 1.0):
-        raise ValueError("first candidate must be identically 1")
-    return orthogonalize(cands[None], grid.weights[None], drop_ratio).element(0)
-
-
 def _graded_lex_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
     exps = [
         e
@@ -186,25 +114,16 @@ def _graded_lex_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:
     return exps
 
 
-def warmstart_basis(grid: QuadratureGrid, dimension: int, degree: int) -> BasisSet:
-    """Element-local polynomial chaos basis of total degree ``degree``.
+def warmstart_candidates(grid: QuadratureGrid, degree: int) -> np.ndarray:
+    """Candidate rows of an element-local polynomial chaos of total degree ``degree``.
 
     Monomials in graded-lexicographic order (constant first) are formed in
     per-axis coordinates rescaled to [-1, 1] -- the same span, but conditioned
-    well enough for high degrees -- and orthogonalized against the element
-    measure. Works for any of the supported laws, which is what makes it a
+    well enough for high degrees. Orthogonalized against the element measure
+    they give a basis for any of the supported laws, which is what makes it a
     usable warm start when deterministic initial conditions leave the germ
     set degenerate.
     """
-    if dimension != grid.dimension:
-        raise ValueError("dimension does not match the grid")
-    return gram_schmidt(warmstart_candidates(grid, degree), grid)
-
-
-def warmstart_candidates(grid: QuadratureGrid, degree: int) -> np.ndarray:
-    """Rescaled monomial candidate rows of :func:`warmstart_basis`."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
     lo = grid.nodes.min(axis=0)
     hi = grid.nodes.max(axis=0)
     unit = 2.0 * (grid.nodes - lo) / (hi - lo) - 1.0
@@ -217,23 +136,3 @@ def warmstart_candidates(grid: QuadratureGrid, degree: int) -> np.ndarray:
                 v = v * unit[:, ax] ** p
         cands[row] = v
     return cands
-
-
-def project(f_values, basis: BasisSet, grid: QuadratureGrid) -> np.ndarray:
-    """Galerkin coefficients of node values on the basis.
-
-    mode_j = <Psi_j, f> / <Psi_j, Psi_j>. Accepts a single (n_nodes,) array
-    or a stack (m, n_nodes); returns matching (count,) or (m, count).
-    """
-    f_values = np.asarray(f_values, dtype=float)
-    if f_values.shape[-1] != grid.n_nodes:
-        raise ValueError("value array does not match the node count")
-    return f_values @ basis.projector(grid)
-
-
-def evaluate(modes, basis: BasisSet) -> np.ndarray:
-    """Reconstruct node values from modes: sum_j mode_j * Psi_j(node)."""
-    modes = np.asarray(modes, dtype=float)
-    if modes.shape[-1] != basis.count:
-        raise ValueError("mode count does not match the basis")
-    return modes @ basis.values

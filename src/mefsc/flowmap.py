@@ -9,8 +9,6 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import QuadratureGrid
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -43,55 +41,6 @@ class ModelSpec:
     initial_state: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class GermSet:
-    """Ordered germ values at the element nodes, one row per germ.
-
-    The constant germ is not included here; basis construction prepends it.
-    ``labels`` name each row: state components first, then derivatives,
-    e.g. ``D2[u]`` for the second time derivative of u.
-    """
-
-    values: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-
-def enriched_germs(
-    model: ModelSpec,
-    t: float,
-    state_node_values,
-    grid: QuadratureGrid,
-    truncation: int,
-) -> GermSet:
-    """Germ rows for basis construction: state components, then derivatives.
-
-    Derivatives are appended derivative-major (for systems: all components of
-    the first derivative, then all of the second, ...) and the list is cut at
-    ``truncation`` rows. For companion-form models each level contributes the
-    single genuinely new scalar derivative. Evaluation is at the current
-    instant; no time stepping is involved.
-    """
-    check_truncation(model, truncation)
-    s = np.asarray(state_node_values, dtype=float)
-    values = np.empty((truncation, s.shape[1]))
-    fill_germs(model, t, grid.nodes, s, values)
-    n = model.state_dim
-    labels = list(model.component_names)
-    primary = model.component_names[0]
-    level = 1
-    while len(labels) < truncation:
-        if model.companion:
-            labels.append(f"D{n + level - 1}[{primary}]")
-        else:
-            labels.extend(f"D{level}[{name}]" for name in model.component_names)
-        level += 1
-    return GermSet(values=values, labels=tuple(labels[:truncation]))
-
-
 def check_truncation(model: ModelSpec, truncation: int) -> None:
     """Reject a germ count the model's derivative chain cannot supply."""
     n = model.state_dim
@@ -103,11 +52,19 @@ def check_truncation(model: ModelSpec, truncation: int) -> None:
 
 
 def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> None:
-    """Write the germ rows of :func:`enriched_germs` into ``out``.
+    """Write the germ rows for basis construction into ``out``.
+
+    The rows are the state components, then their time derivatives at the
+    current instant, derivative-major (for systems: all components of the
+    first derivative, then all of the second, ...), cut at ``truncation``
+    rows. For companion-form models each level contributes the single
+    genuinely new scalar derivative. The constant germ is not included;
+    basis construction prepends it.
 
     ``state`` is (n, N) at the N rows of ``nodes`` and ``out`` is
     (truncation, N). Models are pointwise in the nodes, so N may stack the
-    nodes of several elements. The truncation is not validated here.
+    nodes of several elements. The truncation is not validated here (see
+    :func:`check_truncation`).
     """
     n = model.state_dim
     truncation = out.shape[0]

@@ -12,25 +12,19 @@ Elements share node count, basis size and time grid, so one time loop
 advances a whole batch: state values are (E, n, Q), modes (E, n, m) and
 bases (E, m, Q), and model calls see every element's nodes stacked as
 (E*Q, d). An element's numbers depend on its own data only, never on which
-other elements share its batch. The single-element functions below are the
-E = 1 case of the same kernels.
+other elements share its batch, so one element is a batch of one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Integral
 
 import numpy as np
 
-from .basis import (
-    BasisSet,
-    BasisStack,
-    gram_schmidt,
-    orthogonalize,
-    warmstart_candidates,
-)
+from .basis import BasisStack, orthogonalize, warmstart_candidates
 from .flowmap import ModelSpec, check_truncation, fill_germs
-from .measures import Distribution, QuadratureGrid, build_quadrature
+from .measures import Distribution, build_quadrature
 
 
 # A horizon counts as a whole number of steps when duration / dt is within
@@ -78,24 +72,6 @@ class NumericalBlowup(RuntimeError):
         return f"{self.args[0]} (t={self.t:.6g}, element {self.element_id})"
 
 
-@dataclass
-class ElementState:
-    """Spectral state of one element: modes of each component on a basis."""
-
-    t: float
-    basis: BasisSet
-    modes: np.ndarray
-    element_id: int
-    grid: QuadratureGrid
-
-
-@dataclass(frozen=True)
-class MomentSample:
-    t: float
-    mean: np.ndarray
-    variance: np.ndarray
-
-
 @dataclass(frozen=True)
 class FallbackEvent:
     """One occasion where the exact transfer was replaced by projection.
@@ -122,16 +98,21 @@ class WarmStart:
     degree: int
     duration: float
 
+    def __post_init__(self):
+        degree = self.degree
+        if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 0:
+            raise ValueError(
+                f"warm-start degree must be an integer >= 0, got {degree!r}"
+            )
+
 
 @dataclass
 class LocalSeries:
     """Per-step local moments of one element, plus solver diagnostics.
 
-    ``mean`` and ``variance`` are (n, steps+1) and ``final_state`` is the
-    element's state at the horizon when the batch stored its series (see
-    ``keep_local`` of :func:`run_elements`). When the batch only handed its
-    moments to a reduction, the moment arrays are (n, 0) and ``final_state``
-    is None.
+    ``mean`` and ``variance`` are (n, steps+1) when the batch stored its
+    series, and (n, 0) when it only handed its moments to a reduction (see
+    ``reduce`` of :func:`run_elements`).
     """
 
     times: np.ndarray
@@ -139,23 +120,11 @@ class LocalSeries:
     variance: np.ndarray
     fallback_events: list[FallbackEvent]
     max_orthogonality_residual: float | None
-    final_state: ElementState | None = None
 
 
 def _element_rows(rows: np.ndarray, n_el: int) -> np.ndarray:
     """(k, E*Q) rows over the stacked nodes as an (E, k, Q) view."""
     return rows.reshape(rows.shape[0], n_el, -1).transpose(1, 0, 2)
-
-
-def _stack(basis: BasisSet, grid: QuadratureGrid) -> BasisStack:
-    """One element's basis as a batch of one."""
-    return BasisStack(
-        values=basis.values[None],
-        projector=basis.projector(grid)[None],
-        squared_norms=basis.squared_norms[None],
-        kept=basis.kept_flags[None],
-        coefficients=basis.coefficients[None],
-    )
 
 
 def _raise_if_not_finite(per_element, message: str, t: float, ids) -> None:
@@ -244,86 +213,6 @@ def _max_offdiag_residual(basis: BasisStack, weights: np.ndarray) -> np.ndarray:
     return normalized.max(axis=(1, 2))
 
 
-def rebuild_basis(state: ElementState, model: ModelSpec, truncation: int) -> BasisSet:
-    """Fresh orthogonal basis from the current state's germs.
-
-    Evaluates the state at the nodes, forms the germ set (state components
-    plus time derivatives), prepends the constant and orthogonalizes.
-    """
-    check_truncation(model, truncation)
-    values = state.modes @ state.basis.values
-    cands = _candidates(model, state.t, values, state.grid.nodes, truncation, 1)
-    return gram_schmidt(cands[0], state.grid, check=False)
-
-
-def transfer_modes(
-    old_state: ElementState,
-    new_basis: BasisSet,
-    event_log: list | None = None,
-) -> np.ndarray:
-    """Modes of ``old_state`` on ``new_basis``, which was built from its germs."""
-    values = old_state.modes @ old_state.basis.values
-    return _transfer(
-        values[None],
-        _stack(new_basis, old_state.grid),
-        old_state.t,
-        np.array([old_state.element_id]),
-        None if event_log is None else [event_log],
-    )[0]
-
-
-def galerkin_rhs(
-    t: float,
-    modes: np.ndarray,
-    basis: BasisSet,
-    model: ModelSpec,
-    grid: QuadratureGrid,
-    element_id: int = 0,
-) -> np.ndarray:
-    """Mode time-derivatives, pseudo-spectrally.
-
-    The state is reconstructed at the nodes, the model right-hand side is
-    applied pointwise and the result projected back. For companion-form
-    systems the derivative of mode row l is identically mode row l+1 (the
-    reconstruction-project round trip is the identity on the span), so only
-    the highest-derivative row needs node arithmetic.
-    """
-    return _rhs(
-        t, modes[None], _stack(basis, grid), model, grid.nodes, np.array([element_id])
-    )[0]
-
-
-def rk4_step(state: ElementState, model: ModelSpec, dt: float) -> ElementState:
-    """One classical RK4 step on the mode system, basis frozen."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    new_modes = _rk4(
-        state.t,
-        state.modes[None],
-        _stack(state.basis, state.grid),
-        model,
-        state.grid.nodes,
-        dt,
-        np.array([state.element_id]),
-    )[0]
-    return ElementState(
-        t=state.t + dt,
-        basis=state.basis,
-        modes=new_modes,
-        element_id=state.element_id,
-        grid=state.grid,
-    )
-
-
-def local_moments(state: ElementState) -> MomentSample:
-    """Mean and variance of each component under the element measure."""
-    modes = state.modes
-    variance = (modes[:, 1:] ** 2) @ state.basis.squared_norms[1:]
-    return MomentSample(
-        t=state.t, mean=modes[:, 0].copy(), variance=np.maximum(variance, 0.0)
-    )
-
-
 def run_elements(
     boxes,
     element_ids,
@@ -337,7 +226,6 @@ def run_elements(
     audit_orthogonality: bool = False,
     *,
     reduce=None,
-    keep_local: bool = False,
     block_elements: int | None = None,
 ) -> list[LocalSeries]:
     """Integrate a batch of elements in one time loop.
@@ -356,10 +244,8 @@ def run_elements(
     fills and after the last step. The block holds about ``_BLOCK_BYTES``
     for ``block_elements`` elements (default: this batch's), so batches of
     one run that pass the run's element count share block boundaries. The
-    series returned then hold (n, 0) moment arrays and no final state.
-    Without ``reduce``, or with ``keep_local``, every step is stored: the
-    series and final states are returned, and ``reduce`` (if any) receives
-    the whole series as one block after the last step.
+    series returned then hold (n, 0) moment arrays. Without ``reduce`` every
+    step is stored and returned.
     """
     check_truncation(model, truncation)
     grids = [
@@ -383,13 +269,11 @@ def run_elements(
     else:
         cands = _candidates(model, 0.0, state, nodes, truncation, n_el)
     basis = orthogonalize(cands, weights)
-    del cands
+    del cands, grids
     modes = _element_rows(state, n_el) @ basis.projector
 
-    store = keep_local or reduce is None
     width = n_steps + 1
-    if not store:
-        grids = None  # only the final states use them
+    if reduce is not None:
         per_step = 16 * (block_elements or n_el) * n
         width = min(width, max(1, _BLOCK_BYTES // per_step))
     mean = np.empty((n_el, n, width))
@@ -432,7 +316,7 @@ def run_elements(
         t = times[i + 1]
         record(i + 1, modes, basis)
 
-    if not store:
+    if reduce is not None:
         mean = variance = np.empty((n_el, n, 0))
     return [
         LocalSeries(
@@ -443,47 +327,7 @@ def run_elements(
             max_orthogonality_residual=(
                 float(max_residual[e]) if audit_orthogonality else None
             ),
-            final_state=(
-                ElementState(
-                    t=times[-1],
-                    basis=basis.element(e),
-                    modes=modes[e][:, basis.kept[e]],
-                    element_id=int(ids[e]),
-                    grid=grids[e],
-                )
-                if store
-                else None
-            ),
         )
         for e in range(n_el)
     ]
 
-
-def run_element(
-    box,
-    distributions: tuple[Distribution, ...],
-    model: ModelSpec,
-    truncation: int,
-    dt: float,
-    duration: float,
-    warmstart: WarmStart | None = None,
-    element_id: int = 0,
-    points_per_axis: int = 10,
-    audit_orthogonality: bool = False,
-) -> LocalSeries:
-    """Integrate one element and record its local moments at every step.
-
-    The one-element case of :func:`run_elements`.
-    """
-    return run_elements(
-        [box],
-        [element_id],
-        distributions,
-        model,
-        truncation,
-        dt,
-        duration,
-        warmstart,
-        points_per_axis,
-        audit_orthogonality,
-    )[0]

@@ -414,11 +414,3 @@ def build_quadrature(
     weights /= weights.sum()
     return QuadratureGrid(nodes, weights, mass)
 
-
-def inner_product(f_values, g_values, grid: QuadratureGrid) -> float:
-    """Expectation of f*g under the element measure: sum_q w_q f(xi_q) g(xi_q)."""
-    f_values = np.asarray(f_values, dtype=float)
-    g_values = np.asarray(g_values, dtype=float)
-    if f_values.shape[-1] != grid.n_nodes or g_values.shape[-1] != grid.n_nodes:
-        raise ValueError("value arrays do not match the node count")
-    return float(np.dot(grid.weights, f_values * g_values))

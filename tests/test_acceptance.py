@@ -14,27 +14,20 @@ import pytest
 from mefsc import (
     MODELS,
     Distribution,
-    ElementState,
     SolverConfig,
     WarmStart,
     build_quadrature,
     error_metrics,
     exact_problem1_moments,
-    gram_schmidt,
-    local_moments,
     monte_carlo_moments,
     partition_random_domain,
-    project,
     quasi_exact_moments,
-    rebuild_basis,
-    rk4_step,
-    run_element,
     run_me_fsc,
-    total_expectation,
-    total_variance,
-    transfer_modes,
 )
+from mefsc.aggregate import _total_moments
+from mefsc.basis import orthogonalize
 from mefsc.bench_cli import parse_config, run_and_emit
+from mefsc.fsc_element import _candidates, _local_variance, _rk4, _transfer
 
 P1_LAW = (Distribution.uniform(340.0, 460.0),)
 P2_LAW = (Distribution.uniform(2.0, 3.0),)
@@ -208,40 +201,33 @@ def test_criterion_5_kraichnan_orszag_symmetry_and_variance(p4_bundle):
     assert ok, line
 
 
-def test_criterion_6_transfer_exactness_over_1000_steps():
+def test_criterion_6_transfer_exactness_over_1000_steps(warm_oscillator):
     model = MODELS["oscillator"]
-    warm = run_element(
-        [[340.0, 460.0]], P1_LAW, model, 4, 1e-3, 1.0, warmstart=WarmStart(7, 1.0)
-    )
-    state = warm.final_state
+    grid, basis, modes = warm_oscillator
+    ids = np.zeros(1, dtype=int)
+    t = 1.0
     worst_gap = 0.0
     worst_mean_drift = 0.0
     worst_var_drift = 0.0
     for _ in range(1000):
-        before = local_moments(state)
-        new_basis = rebuild_basis(state, model, 4)
-        det_modes = transfer_modes(state, new_basis)
-        proj_modes = project(
-            state.modes @ state.basis.values, new_basis, state.grid
-        )
-        worst_gap = max(worst_gap, float(np.max(np.abs(det_modes - proj_modes))))
-        state = ElementState(
-            t=state.t,
-            basis=new_basis,
-            modes=det_modes,
-            element_id=0,
-            grid=state.grid,
-        )
-        after = local_moments(state)
+        before_mean, before_var = modes[0, :, 0], _local_variance(modes, basis)[0]
+        values = modes @ basis.values
+        cands = _candidates(model, t, values[0], grid.nodes, 4, 1)
+        basis = orthogonalize(cands, grid.weights[None])
+        modes = _transfer(values, basis, t, ids, None)
+        proj_modes = values @ basis.projector
+        worst_gap = max(worst_gap, float(np.max(np.abs(modes - proj_modes))))
+        after_mean, after_var = modes[0, :, 0], _local_variance(modes, basis)[0]
         worst_mean_drift = max(
             worst_mean_drift,
-            float(np.max(np.abs(after.mean - before.mean) / np.abs(before.mean))),
+            float(np.max(np.abs(after_mean - before_mean) / np.abs(before_mean))),
         )
         worst_var_drift = max(
             worst_var_drift,
-            float(np.max(np.abs(after.variance - before.variance) / before.variance)),
+            float(np.max(np.abs(after_var - before_var) / before_var)),
         )
-        state = rk4_step(state, model, 1e-3)
+        modes = _rk4(t, modes, basis, model, grid.nodes, 1e-3, ids)
+        t += 1e-3
     ok = worst_gap <= 1e-10 and worst_mean_drift <= 1e-10 and worst_var_drift <= 1e-10
     line = (
         f"criterion 6: {'PASS' if ok else 'FAIL'} "
@@ -302,8 +288,9 @@ def test_criterion_8_aggregation_matches_dense_quadrature():
             m = float(np.dot(grid.weights, values))
             means.append(m)
             variances.append(float(np.dot(grid.weights, (values - m) ** 2)))
-        agg_mean = total_expectation(means, part.masses)
-        agg_var = total_variance(means, variances, part.masses)
+        agg_mean, agg_var = _total_moments(
+            np.array(means), np.array(variances), part.masses
+        )
 
         dense = build_quadrature([lo, hi], (law,), points_per_axis=400)
         dvals = f(dense.nodes[:, 0])

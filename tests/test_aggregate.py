@@ -4,9 +4,12 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,12 +26,10 @@ from mefsc import (
     aggregate,
     fsc_element,
     partition_random_domain,
-    run_element,
     run_elements,
     run_me_fsc,
-    total_expectation,
-    total_variance,
 )
+from mefsc.aggregate import _check_masses, _total_moments
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -42,41 +43,63 @@ def block_bytes(steps: int, n_elements: int, state_dim: int) -> int:
     return steps * 16 * n_elements * state_dim
 
 
+def stored_reference(config: SolverConfig):
+    """Every element's stored series in one batch, reduced in one go.
+
+    Returns the series and the global mean and variance.
+    """
+    partition = partition_random_domain(config.distributions, config.element_counts)
+    ids = np.arange(partition.n_elements)
+    series = run_elements(*aggregate._batch_args(config, partition, ids))
+    mean, variance = _total_moments(
+        np.stack([s.mean for s in series]),
+        np.stack([s.variance for s in series]),
+        partition.masses,
+    )
+    return series, mean, variance
+
+
 def assert_streamed_matches_stored(config: SolverConfig):
-    """The one-batch streamed result equals the keep_local one bit for bit."""
+    """The streamed result equals the stored reference bit for bit."""
     streamed = run_me_fsc(config)
-    stored = run_me_fsc(dataclasses.replace(config, keep_local=True))
-    assert streamed.local_series is None
-    assert np.array_equal(streamed.times, stored.times)
-    assert np.array_equal(streamed.mean, stored.mean)
-    assert np.array_equal(streamed.variance, stored.variance)
-    assert streamed.fallback_events == stored.fallback_events
-    assert streamed.max_orthogonality_residual == stored.max_orthogonality_residual
+    series, mean, variance = stored_reference(config)
+    residuals = [s.max_orthogonality_residual for s in series]
+    assert np.array_equal(streamed.times, series[0].times)
+    assert np.array_equal(streamed.mean, mean)
+    assert np.array_equal(streamed.variance, variance)
+    assert streamed.fallback_events == [ev for s in series for ev in s.fallback_events]
+    assert streamed.max_orthogonality_residual == (
+        max(residuals) if config.audit_orthogonality else None
+    )
     return streamed
 
 
+HALVES = np.array([0.5, 0.5])
+
+
 def test_total_expectation_two_halves():
-    assert total_expectation([1.0, 3.0], [0.5, 0.5]) == 2.0
+    assert _total_moments(np.array([1.0, 3.0]), np.zeros(2), HALVES)[0] == 2.0
 
 
 def test_total_expectation_rejects_bad_masses():
     with pytest.raises(ValueError):
-        total_expectation([1.0, 3.0], [0.5, 0.4])
+        _check_masses(np.array([0.5, 0.4]))
+    _check_masses(HALVES)
 
 
 def test_total_variance_two_halves():
     # mu = (1/2, 1/2): total = (v1+v2)/2 + (m1-m2)^2/4
-    v = total_variance([1.0, 3.0], [0.2, 0.6], [0.5, 0.5])
+    v = _total_moments(np.array([1.0, 3.0]), np.array([0.2, 0.6]), HALVES)[1]
     assert v == pytest.approx(0.4 + 1.0, rel=1e-15)
 
 
 def test_total_variance_single_element_is_identity():
-    assert total_variance([1.7], [0.31], [1.0]) == 0.31
+    assert _total_moments(np.array([1.7]), np.array([0.31]), np.ones(1))[1] == 0.31
 
 
 def test_total_variance_splits_uniform_exactly():
     # U(0,1) split in half: element means 1/4, 3/4; element variances 1/48.
-    v = total_variance([0.25, 0.75], [1.0 / 48.0, 1.0 / 48.0], [0.5, 0.5])
+    v = _total_moments(np.array([0.25, 0.75]), np.full(2, 1.0 / 48.0), HALVES)[1]
     assert abs(v - 1.0 / 12.0) < 1e-16
 
 
@@ -97,7 +120,7 @@ def test_total_variance_matches_mixture_identity(data):
     variances = np.array([d[1] for d in data])
     masses = np.array([d[2] for d in data])
     masses = masses / masses.sum()
-    got = total_variance(means, variances, masses)
+    got = float(_total_moments(means, variances, masses)[1])
     second = float(np.dot(masses, variances + means**2))
     expected = second - float(np.dot(masses, means)) ** 2
     assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
@@ -129,8 +152,8 @@ def test_run_me_fsc_single_element_matches_run_element(
         warmstart=warmstart,
     )
     combined = run_me_fsc(config)
-    alone = run_element(
-        [[lo, hi]], dists, model, truncation, 1e-3, steps * 1e-3, warmstart=warmstart
+    (alone,) = run_elements(
+        [[[lo, hi]]], [0], dists, model, truncation, 1e-3, steps * 1e-3, warmstart
     )
     assert np.array_equal(combined.times, alone.times)
     assert np.array_equal(combined.mean, alone.mean)
@@ -139,8 +162,8 @@ def test_run_me_fsc_single_element_matches_run_element(
 
 
 def test_run_me_fsc_agrees_with_scalar_aggregation():
-    # The vectorized time-series aggregation must match the scalar formulas
-    # applied one output instant at a time.
+    # The streamed time-series aggregation must match the formulas applied
+    # to the stored element moments one output instant at a time.
     dists = (Distribution.uniform(340.0, 460.0),)
     config = SolverConfig(
         model=OSC,
@@ -150,16 +173,16 @@ def test_run_me_fsc_agrees_with_scalar_aggregation():
         dt=1e-3,
         duration=0.3,
         warmstart=WarmStart(7, 0.1),
-        keep_local=True,
     )
     series = run_me_fsc(config)
     masses = series.partition.masses
-    locals_ = series.local_series
+    locals_ = stored_reference(config)[0]
     for idx in (0, 150, 300):
         means = [ls.mean[0, idx] for ls in locals_]
         variances = [ls.variance[0, idx] for ls in locals_]
-        want_mean = total_expectation(means, masses)
-        want_var = total_variance(means, variances, masses)
+        want_mean, want_var = _total_moments(
+            np.array(means), np.array(variances), masses
+        )
         assert series.mean[0, idx] == pytest.approx(want_mean, rel=1e-14, abs=1e-16)
         assert series.variance[0, idx] == pytest.approx(want_var, rel=1e-13, abs=1e-18)
 
@@ -275,6 +298,53 @@ def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+ORPHAN_SCRIPT = f"""
+import os, sys, time
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+from mefsc.aggregate import fan_out
+
+def call(i):
+    if i:
+        print(os.getpid(), flush=True)
+    else:
+        time.sleep(60)
+
+list(fan_out(call, [(0,), (1,)], 2))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pool_worker_dies_with_a_killed_parent():
+    # The parent sleeps in its own call while its worker, done with the
+    # other call, waits idle for more; then the parent is killed outright.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SCRIPT], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        worker = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not running(worker)
+    finally:
+        if running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
 WORKER_COUNT_CASES = {
     "oscillator": SolverConfig(
         OSC, P1_DIST, (5,), 4, dt=1e-3, duration=0.12, warmstart=WarmStart(7, 0.05)
@@ -332,12 +402,9 @@ def test_workers_do_not_change_multi_block_results(monkeypatch, name):
             sequential.max_orthogonality_residual
             == parallel.max_orthogonality_residual
         )
-    stored = run_me_fsc(dataclasses.replace(config, workers=2, keep_local=True))
-    assert np.array_equal(sequential.mean, stored.mean)
-    assert np.array_equal(sequential.variance, stored.variance)
-    assert [s.final_state.element_id for s in stored.local_series] == list(
-        range(n_elements)
-    )
+    _, mean, variance = stored_reference(config)
+    assert np.array_equal(sequential.mean, mean)
+    assert np.array_equal(sequential.variance, variance)
     assert multiprocessing.active_children() == []
 
 
@@ -351,6 +418,12 @@ def test_solver_config_validation():
         SolverConfig(OSC, dists, (8, 8), 4, dt=1e-3, duration=1.0)
     with pytest.raises(ValueError):
         SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=1.0, workers=0)
+    for degree in (-1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="warm-start degree"):
+            SolverConfig(
+                OSC, dists, (8,), 4, dt=1e-3, duration=1.0,
+                warmstart=WarmStart(degree, 0.005),
+            )
     for duration in (0.0105, 0.0004):
         with pytest.raises(ValueError, match="nearest whole horizon"):
             SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=duration)
@@ -360,6 +433,8 @@ def test_solver_config_validation():
                 warmstart=WarmStart(7, duration),
             )
     SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=1200 * 1e-3)
+    warmstart = WarmStart(np.int64(0), 0.5)
+    SolverConfig(OSC, dists, (8,), 4, dt=1e-3, duration=1.0, warmstart=warmstart)
 
 
 def test_partition_metadata_attached():
@@ -501,3 +576,36 @@ def test_streamed_oscillator_properties(
     assert abs(streamed.partition.masses.sum() - 1.0) <= 1e-12
     assert streamed.times.size == steps + 1
     assert (streamed.variance >= 0.0).all()
+
+
+AXIS_LAWS = {
+    "uniform": (Distribution.uniform(-1.0, 1.0), 0.0, 1.0 / 3.0),
+    "beta": (Distribution.beta(2.0, 5.0, -1.0, 1.0), -3.0 / 7.0, 10.0 / 98.0),
+}
+
+
+@given(
+    laws=st.lists(st.sampled_from(sorted(AXIS_LAWS)), min_size=3, max_size=3),
+    counts=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    points=st.integers(4, 10),
+)
+@settings(deadline=None, max_examples=30)
+def test_splitting_axes_keeps_polynomial_moments_exact(laws, counts, points):
+    # At t = 0 each three-mode component is its own coordinate, so its global
+    # moments are the law's. Gauss-Legendre with 4 or more points integrates
+    # the beta density times xi^2 (degree 7) exactly on every element, so
+    # the split only adds rounding.
+    config = SolverConfig(
+        KO,
+        tuple(AXIS_LAWS[law][0] for law in laws),
+        tuple(counts),
+        6,
+        dt=5e-3,
+        duration=0.0,
+        points_per_axis=points,
+    )
+    series = run_me_fsc(config)
+    for i, law in enumerate(laws):
+        _, mean, variance = AXIS_LAWS[law]
+        assert series.mean[i, 0] == pytest.approx(mean, rel=1e-13, abs=1e-13)
+        assert series.variance[i, 0] == pytest.approx(variance, rel=1e-13)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mefsc import MODELS, Distribution, ModelSpec, build_quadrature, enriched_germs
+from mefsc import MODELS, Distribution, ModelSpec, build_quadrature
+from mefsc.flowmap import check_truncation, fill_germs
 
 OSC = MODELS["oscillator"]
 THIRD = MODELS["third_order"]
@@ -18,39 +19,33 @@ def point_grid(*centers):
     return build_quadrature(box, dists, points_per_axis=1)
 
 
+def germ_rows(model, t, state, grid, count):
+    rows = np.empty((count, grid.n_nodes))
+    fill_germs(model, t, grid.nodes, state, rows)
+    return rows
+
+
 def test_oscillator_germs_at_known_state():
     grid = point_grid(400.0)  # stiffness 400, mass 100 -> k/m = 4
     state = np.array([[0.05], [0.2]])
-    germs = enriched_germs(OSC, 0.0, state, grid, 3)
-    assert germs.count == 3
-    assert germs.values[:, 0].tolist() == [0.05, 0.2, -0.2]
-    germs4 = enriched_germs(OSC, 0.0, state, grid, 4)
-    assert germs4.values[3, 0] == -0.8  # -(k/m) * dudt
-
-
-def test_oscillator_germ_labels():
-    grid = point_grid(400.0)
-    state = np.array([[0.05], [0.2]])
-    germs = enriched_germs(OSC, 0.0, state, grid, 4)
-    assert germs.labels == ("u", "dudt", "D2[u]", "D3[u]")
+    assert germ_rows(OSC, 0.0, state, grid, 3)[:, 0].tolist() == [0.05, 0.2, -0.2]
+    assert germ_rows(OSC, 0.0, state, grid, 4)[3, 0] == -0.8  # -(k/m) * dudt
 
 
 def test_ko_germs_at_unit_node():
     grid = point_grid(1.0, 1.0, 0.0)
     state = np.array([[1.0], [1.0], [0.0]])
-    germs = enriched_germs(KO, 0.0, state, grid, 6)
+    germs = germ_rows(KO, 0.0, state, grid, 6)
     # u1' = u1 u3 = 0, u2' = -u2 u3 = 0, u3' = -u1^2 + u2^2 = 0
-    assert germs.values[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-    assert germs.labels[:4] == ("u1", "u2", "u3", "D1[u1]")
+    assert germs[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_truncation_bounds_enforced():
-    grid = point_grid(400.0)
-    state = np.array([[0.05], [0.2]])
     with pytest.raises(ValueError):
-        enriched_germs(OSC, 0.0, state, grid, 2)
+        check_truncation(OSC, 2)
     with pytest.raises(ValueError):
-        enriched_germs(OSC, 0.0, state, grid, 2 + OSC.max_enrichment + 1)
+        check_truncation(OSC, 2 + OSC.max_enrichment + 1)
+    check_truncation(OSC, 2 + OSC.max_enrichment)
 
 
 @pytest.mark.parametrize("model,centers", [
@@ -142,9 +137,9 @@ def test_germs_are_successive_time_derivatives(model, centers, n):
     delta = 1e-6
     plus = taylor_propagate(model, 0.0, nodes, state, delta, 6)
     minus = taylor_propagate(model, 0.0, nodes, state, -delta, 6)
-    g_plus = enriched_germs(model, 0.0, plus, grid, trunc).values
-    g_minus = enriched_germs(model, 0.0, minus, grid, trunc).values
-    g_mid = enriched_germs(model, 0.0, state, grid, trunc).values
+    g_plus = germ_rows(model, 0.0, plus, grid, trunc)
+    g_minus = germ_rows(model, 0.0, minus, grid, trunc)
+    g_mid = germ_rows(model, 0.0, state, grid, trunc)
     fd = (g_plus - g_minus) / (2.0 * delta)
     scale = np.max(np.abs(g_mid))
     for j in range(trunc - 1):
@@ -198,9 +193,9 @@ def test_germ_evaluation_is_pure():
     grid = build_quadrature([340.0, 460.0], dists, points_per_axis=10)
     rng = np.random.default_rng(2)
     state = rng.uniform(-1.0, 1.0, size=(2, grid.n_nodes))
-    a = enriched_germs(OSC, 1.5, state, grid, 5)
-    b = enriched_germs(OSC, 1.5, state, grid, 5)
-    assert np.array_equal(a.values, b.values)
+    a = germ_rows(OSC, 1.5, state, grid, 5)
+    b = germ_rows(OSC, 1.5, state, grid, 5)
+    assert np.array_equal(a, b)
     c = taylor_propagate(OSC, 1.5, grid.nodes, state, 0.01, 4)
     d = taylor_propagate(OSC, 1.5, grid.nodes, state, 0.01, 4)
     assert np.array_equal(c, d)

@@ -1,4 +1,5 @@
-"""Single-element solver: transfer, Galerkin stepping, moments, full runs."""
+"""Batched element solver on batches of one: transfer, Galerkin stepping,
+moments, full runs."""
 
 import numpy as np
 import pytest
@@ -6,26 +7,18 @@ import pytest
 from mefsc import (
     MODELS,
     Distribution,
-    ElementState,
     MomentSeries,
     NumericalBlowup,
     WarmStart,
     build_quadrature,
-    enriched_germs,
     error_metrics,
     exact_problem1_moments,
-    galerkin_rhs,
-    gram_schmidt,
-    inner_product,
-    local_moments,
+    fsc_element,
     partition_random_domain,
-    project,
-    rebuild_basis,
-    rk4_step,
-    run_element,
     run_elements,
-    transfer_modes,
 )
+from mefsc.basis import orthogonalize
+from mefsc.fsc_element import _candidates, _local_variance, _rhs, _rk4, _transfer
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -33,25 +26,7 @@ THIRD = MODELS["third_order"]
 
 P1_DIST = (Distribution.uniform(340.0, 460.0),)
 P1_BOX = [[340.0, 460.0]]
-
-
-def fresh_state(model, dists, box, truncation, state_values=None, t=0.0):
-    grid = build_quadrature(box, dists, points_per_axis=10)
-    if state_values is None:
-        state_values = model.initial_state(grid.nodes)
-    germs = enriched_germs(model, t, state_values, grid, truncation)
-    cands = np.vstack([np.ones(grid.n_nodes), germs.values])
-    basis = gram_schmidt(cands, grid)
-    modes = project(state_values, basis, grid)
-    return ElementState(t=t, basis=basis, modes=modes, element_id=0, grid=grid)
-
-
-def evolved_oscillator_state(steps=1200, dt=1e-3):
-    """Run the oscillator into the flow-driven phase (warm start ends at 1 s)."""
-    series = run_element(
-        P1_BOX, P1_DIST, OSC, 4, dt, steps * dt, warmstart=WarmStart(7, 1.0)
-    )
-    return series.final_state
+ONE = np.zeros(1, dtype=int)
 
 
 def deterministic_grid(center=400.0):
@@ -59,63 +34,65 @@ def deterministic_grid(center=400.0):
     return build_quadrature([[center - 1.0, center + 1.0]], dists, points_per_axis=1)
 
 
-def test_transfer_structure_against_new_basis():
+def test_transfer_structure_against_new_basis(warm_oscillator):
     # Re-expressing the state in a basis built from its own germs must give
     # mode l+1 of component l equal to one, zeros beyond, and the local mean
     # in mode zero.
-    state = evolved_oscillator_state()
-    new_basis = rebuild_basis(state, OSC, 4)
-    modes = transfer_modes(state, new_basis)
-    values = state.modes @ state.basis.values
-    means = values @ state.grid.weights
-    assert np.allclose(modes[:, 0], means, rtol=0, atol=1e-14)
-    assert modes[0, 1] == 1.0
-    assert np.all(modes[0, 2:] == 0.0)
-    assert modes[1, 2] == 1.0
-    assert np.all(modes[1, 3:] == 0.0)
+    grid, basis, modes = warm_oscillator
+    values = modes @ basis.values
+    new_basis = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+    )
+    new = _transfer(values, new_basis, 1.0, ONE, None)[0]
+    means = values[0] @ grid.weights
+    assert np.allclose(new[:, 0], means, rtol=0, atol=1e-14)
+    assert new[0, 1] == 1.0
+    assert np.all(new[0, 2:] == 0.0)
+    assert new[1, 2] == 1.0
+    assert np.all(new[1, 3:] == 0.0)
 
 
-def test_transfer_matches_projection():
-    state = evolved_oscillator_state()
-    new_basis = rebuild_basis(state, OSC, 4)
-    det_modes = transfer_modes(state, new_basis)
-    proj_modes = project(state.modes @ state.basis.values, new_basis, state.grid)
+def test_transfer_matches_projection(warm_oscillator):
+    grid, basis, modes = warm_oscillator
+    values = modes @ basis.values
+    new_basis = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+    )
+    det_modes = _transfer(values, new_basis, 1.0, ONE, None)
+    proj_modes = values @ new_basis.projector
     assert np.max(np.abs(det_modes - proj_modes)) < 1e-10
 
 
-def test_transfer_preserves_moments():
-    state = evolved_oscillator_state()
-    before = local_moments(state)
-    new_basis = rebuild_basis(state, OSC, 4)
-    after = local_moments(
-        ElementState(
-            t=state.t,
-            basis=new_basis,
-            modes=transfer_modes(state, new_basis),
-            element_id=0,
-            grid=state.grid,
-        )
+def test_transfer_preserves_moments(warm_oscillator):
+    grid, basis, modes = warm_oscillator
+    values = modes @ basis.values
+    new_basis = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
     )
-    assert np.allclose(after.mean, before.mean, rtol=1e-10, atol=0)
-    assert np.allclose(after.variance, before.variance, rtol=1e-10, atol=1e-30)
+    new = _transfer(values, new_basis, 1.0, ONE, None)
+    assert np.allclose(new[:, :, 0], modes[:, :, 0], rtol=1e-10, atol=0)
+    assert np.allclose(
+        _local_variance(new, new_basis),
+        _local_variance(modes, basis),
+        rtol=1e-10,
+        atol=1e-30,
+    )
 
 
-def test_transfer_falls_back_when_germ_dropped():
+def test_transfer_falls_back_when_germ_dropped(warm_oscillator):
     # Make dudt a multiple of u so its germ is discarded; the transfer must
     # degrade to plain projection and log the event.
-    state = evolved_oscillator_state()
-    values = state.modes @ state.basis.values
-    values[1] = 2.0 * values[0]
-    modes = project(values, state.basis, state.grid)
-    degenerate = ElementState(
-        t=state.t, basis=state.basis, modes=modes, element_id=3, grid=state.grid
+    grid, basis, modes = warm_oscillator
+    values = modes @ basis.values
+    values[0, 1] = 2.0 * values[0, 0]
+    values = (values @ basis.projector) @ basis.values
+    new_basis = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
     )
-    new_basis = rebuild_basis(degenerate, OSC, 4)
-    assert not np.all(new_basis.kept_flags[1:3])
+    assert not np.all(new_basis.kept[0, 1:3])
     events = []
-    got = transfer_modes(degenerate, new_basis, events)
-    expected = project(degenerate.modes @ state.basis.values, new_basis, state.grid)
-    assert np.array_equal(got, expected)
+    got = _transfer(values, new_basis, 1.0, np.array([3]), [events])
+    assert np.array_equal(got, values @ new_basis.projector)
     assert len(events) == 1
     assert events[0].row == -1
     assert events[0].element_id == 3
@@ -123,10 +100,9 @@ def test_transfer_falls_back_when_germ_dropped():
 
 def test_galerkin_rhs_deterministic_node():
     grid = deterministic_grid(400.0)
-    cands = np.ones((1, 1))
-    basis = gram_schmidt(cands, grid)
-    modes = np.array([[0.05], [0.0]])
-    out = galerkin_rhs(0.0, modes, basis, OSC, grid)
+    basis = orthogonalize(np.ones((1, 1, 1)), grid.weights[None])
+    modes = np.array([[[0.05], [0.0]]])
+    out = _rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
     assert out[0, 0] == 0.0
     assert out[1, 0] == -0.2  # -(400/100) * 0.05
 
@@ -136,10 +112,10 @@ def test_galerkin_rhs_linear_stiffness_modes():
     # acceleration modes follow from k = 400 + (k - 400) exactly.
     grid = build_quadrature(P1_BOX, P1_DIST, points_per_axis=10)
     k = grid.nodes[:, 0]
-    basis = gram_schmidt(np.vstack([np.ones_like(k), k]), grid)
+    basis = orthogonalize(np.vstack([np.ones_like(k), k])[None], grid.weights[None])
     c = 0.05
-    modes = np.array([[c, 0.0], [0.0, 0.0]])
-    out = galerkin_rhs(0.0, modes, basis, OSC, grid)
+    modes = np.array([[[c, 0.0], [0.0, 0.0]]])
+    out = _rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
     assert np.allclose(out[0], [0.0, 0.0], atol=1e-16)
     assert out[1, 0] == pytest.approx(-4.0 * c, rel=1e-14)
     assert out[1, 1] == pytest.approx(-c / 100.0, rel=1e-12)
@@ -147,67 +123,48 @@ def test_galerkin_rhs_linear_stiffness_modes():
 
 def test_rk4_single_step_matches_closed_form():
     grid = deterministic_grid(400.0)
-    basis = gram_schmidt(np.ones((1, 1)), grid)
-    state = ElementState(
-        t=0.0, basis=basis, modes=np.array([[0.05], [0.2]]), element_id=0, grid=grid
-    )
+    basis = orthogonalize(np.ones((1, 1, 1)), grid.weights[None])
     dt = 1e-3
-    stepped = rk4_step(state, OSC, dt)
+    stepped = _rk4(0.0, np.array([[[0.05], [0.2]]]), basis, OSC, grid.nodes, dt, ONE)
     exact = 0.05 * np.cos(2.0 * dt) + 0.1 * np.sin(2.0 * dt)
-    assert stepped.t == dt
-    assert abs(stepped.modes[0, 0] - exact) < 1e-13
+    assert abs(stepped[0, 0, 0] - exact) < 1e-13
 
 
 def test_rk4_is_fourth_order():
     grid = deterministic_grid(400.0)
-    basis = gram_schmidt(np.ones((1, 1)), grid)
+    basis = orthogonalize(np.ones((1, 1, 1)), grid.weights[None])
     period = np.pi  # omega = 2
     errs = []
     for n in (200, 400):
-        state = ElementState(
-            t=0.0, basis=basis, modes=np.array([[0.05], [0.2]]), element_id=0, grid=grid
-        )
+        modes = np.array([[[0.05], [0.2]]])
         dt = period / n
-        for _ in range(n):
-            state = rk4_step(state, OSC, dt)
-        errs.append(abs(state.modes[0, 0] - 0.05))  # full period returns to u0
+        for i in range(n):
+            modes = _rk4(i * dt, modes, basis, OSC, grid.nodes, dt, ONE)
+        errs.append(abs(modes[0, 0, 0] - 0.05))  # full period returns to u0
     rate = np.log2(errs[0] / errs[1])
     assert abs(rate - 4.0) < 0.2
-
-
-def test_rk4_rejects_nonpositive_dt():
-    state = evolved_oscillator_state(steps=1050)
-    with pytest.raises(ValueError):
-        rk4_step(state, OSC, 0.0)
 
 
 def test_local_moments_simple_cases():
     dist = (Distribution.uniform(-1.0, 1.0),)
     grid = build_quadrature([[-1.0, 1.0]], dist, points_per_axis=10)
     x = grid.nodes[:, 0]
-    basis = gram_schmidt(np.vstack([np.ones_like(x), x]), grid)
-    state = ElementState(
-        t=0.0, basis=basis, modes=np.array([[0.0, 1.0]]), element_id=0, grid=grid
-    )
-    sample = local_moments(state)
-    assert sample.mean[0] == 0.0
-    assert abs(sample.variance[0] - 1.0 / 3.0) < 1e-15
-    flat = ElementState(
-        t=0.0, basis=basis, modes=np.array([[7.5, 0.0]]), element_id=0, grid=grid
-    )
-    assert local_moments(flat).variance[0] == 0.0
+    basis = orthogonalize(np.vstack([np.ones_like(x), x])[None], grid.weights[None])
+    modes = np.array([[[0.0, 1.0]]])
+    assert modes[0, 0, 0] == 0.0
+    assert abs(_local_variance(modes, basis)[0, 0] - 1.0 / 3.0) < 1e-15
+    assert _local_variance(np.array([[[7.5, 0.0]]]), basis)[0, 0] == 0.0
 
 
-def test_local_moments_match_node_quadrature():
-    state = evolved_oscillator_state()
-    sample = local_moments(state)
-    values = state.modes @ state.basis.values
+def test_local_moments_match_node_quadrature(warm_oscillator):
+    grid, basis, modes = warm_oscillator
+    values = (modes @ basis.values)[0]
+    variance = _local_variance(modes, basis)[0]
     for row in range(2):
-        mean = float(np.dot(state.grid.weights, values[row]))
-        centered = values[row] - mean
-        var = inner_product(centered, centered, state.grid)
-        assert abs(sample.mean[row] - mean) < 1e-14
-        assert abs(sample.variance[row] - var) < 1e-12 * max(var, 1e-12)
+        mean = float(np.dot(grid.weights, values[row]))
+        var = float(np.dot(grid.weights, (values[row] - mean) ** 2))
+        assert abs(modes[0, row, 0] - mean) < 1e-14
+        assert abs(variance[row] - var) < 1e-12 * max(var, 1e-12)
 
 
 def local_error_vs_exact(series, distribution):
@@ -222,28 +179,35 @@ def local_error_vs_exact(series, distribution):
 
 
 def test_run_element_single_element_accuracy():
-    series = run_element(
-        P1_BOX, P1_DIST, OSC, 4, 1e-3, 10.0, warmstart=WarmStart(7, 1.0)
+    (series,) = run_elements(
+        [P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 10.0, warmstart=WarmStart(7, 1.0)
     )
     errors = local_error_vs_exact(series, P1_DIST[0])
     assert errors.global_mean_error[0] < 1e-6
     assert errors.global_variance_error[0] < 1e-6
 
 
-def test_run_element_pure_warm_start():
+def test_run_element_pure_warm_start(monkeypatch):
     # Warm start spanning the whole run means no germ rebuild ever happens:
-    # the final basis is still the degree-7 polynomial one.
-    series = run_element(
-        P1_BOX, P1_DIST, OSC, 4, 1e-3, 2.0, warmstart=WarmStart(7, 2.0)
+    # the only basis is the degree-7 polynomial one.
+    shapes = []
+
+    def recording(cands, weights):
+        shapes.append(cands.shape)
+        return orthogonalize(cands, weights)
+
+    monkeypatch.setattr(fsc_element, "orthogonalize", recording)
+    (series,) = run_elements(
+        [P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 2.0, warmstart=WarmStart(7, 2.0)
     )
-    assert series.final_state.basis.count == 8
+    assert shapes == [(1, 8, 10)]
     assert series.fallback_events == []
     errors = local_error_vs_exact(series, P1_DIST[0])
     assert errors.global_mean_error[0] < 1e-8
 
 
 def test_run_element_duration_zero():
-    series = run_element(P1_BOX, P1_DIST, OSC, 4, 1e-3, 0.0)
+    (series,) = run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.0)
     assert series.times.tolist() == [0.0]
     assert np.allclose(series.mean[:, 0], [0.05, 0.2], rtol=1e-14)
     # deterministic ICs: only projection rounding can leak into the variance
@@ -253,10 +217,10 @@ def test_run_element_duration_zero():
 @pytest.mark.parametrize("duration", [0.0105, 0.0004])
 def test_run_element_rejects_partial_step_horizon(duration):
     with pytest.raises(ValueError, match="not a whole number of steps"):
-        run_element(P1_BOX, P1_DIST, OSC, 4, 1e-3, duration)
+        run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, duration)
     warmstart = WarmStart(7, duration)
     with pytest.raises(ValueError, match="warm-start duration"):
-        run_element(P1_BOX, P1_DIST, OSC, 4, 1e-3, 0.02, warmstart=warmstart)
+        run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.02, warmstart=warmstart)
 
 
 def test_run_element_ko_initial_variance():
@@ -264,7 +228,7 @@ def test_run_element_ko_initial_variance():
     # u1 at t=0 is the conditional variance of xi_1 on the element.
     dists = tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3))
     box = [[0.0, 0.5], [-1.0, -0.5], [0.25, 0.75]]
-    series = run_element(box, dists, KO, 6, 5e-3, 0.0)
+    (series,) = run_elements([box], [0], dists, KO, 6, 5e-3, 0.0)
     width_var = 0.5**2 / 12.0
     assert np.allclose(series.variance[:, 0], width_var, rtol=1e-12)
     assert np.allclose(series.mean[:, 0], [0.25, -0.75, 0.5], rtol=1e-14)
@@ -276,7 +240,7 @@ def test_run_element_point_mass_tracks_deterministic():
     half = 5e-10
     box = [[400.0 - half, 400.0 + half]]
     dists = (Distribution.uniform(400.0 - half, 400.0 + half),)
-    series = run_element(box, dists, OSC, 4, 1e-3, 1.0)
+    (series,) = run_elements([box], [0], dists, OSC, 4, 1e-3, 1.0)
     t = series.times
     exact = 0.05 * np.cos(2.0 * t) + 0.1 * np.sin(2.0 * t)
     assert np.max(np.abs(series.mean[0] - exact)) < 1e-8
@@ -286,7 +250,7 @@ def test_run_element_point_mass_tracks_deterministic():
 def test_unstable_step_raises_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowup) as info:
-            run_element(P1_BOX, P1_DIST, OSC, 4, 2.0, 1000.0, element_id=5)
+            run_elements([P1_BOX], [5], P1_DIST, OSC, 4, 2.0, 1000.0)
     assert info.value.element_id == 5
     assert "non-finite" in str(info.value)
     assert info.value.t > 0.0
@@ -300,16 +264,13 @@ def test_batch_results_do_not_depend_on_batch_members():
     args = (dists, THIRD, 5, 1e-3, 1.5, WarmStart(7, 1.0))
     batch = run_elements(part.boxes, range(4), *args, audit_orthogonality=True)
     for e, together in enumerate(batch):
-        alone = run_element(
-            part.boxes[e], *args, element_id=e, audit_orthogonality=True
+        (alone,) = run_elements(
+            part.boxes[e : e + 1], [e], *args, audit_orthogonality=True
         )
         assert np.array_equal(together.mean, alone.mean)
         assert np.array_equal(together.variance, alone.variance)
         assert together.max_orthogonality_residual == alone.max_orthogonality_residual
         assert together.max_orthogonality_residual < 1e-10
-        basis = together.final_state.basis
-        assert basis.count == np.count_nonzero(basis.kept_flags)
-        assert together.final_state.modes.shape == (3, basis.count)
 
 
 def test_batch_blowup_names_lowest_offending_element():
@@ -322,7 +283,7 @@ def test_batch_blowup_names_lowest_offending_element():
             run_elements(boxes, [7, 3, 5], dists, OSC, 4, 1.0, 1000.0)
     assert info.value.element_id == 5
     assert info.value.t > 0.0
-    stable = run_element([[340.0, 460.0]], dists, OSC, 4, 1.0, 1000.0)
+    (stable,) = run_elements(boxes[1:2], [3], dists, OSC, 4, 1.0, 1000.0)
     assert np.all(np.isfinite(stable.mean))
 
 
@@ -333,14 +294,19 @@ def test_degenerate_germs_after_warm_start_raise():
     box = [[400.0 - half, 400.0 + half]]
     dists = (Distribution.uniform(400.0 - half, 400.0 + half),)
     with pytest.raises(NumericalBlowup) as info:
-        run_element(box, dists, OSC, 4, 1e-3, 1.0, warmstart=WarmStart(0, 0.5))
+        run_elements([box], [0], dists, OSC, 4, 1e-3, 1.0, WarmStart(0, 0.5))
     assert "degenerate" in str(info.value)
 
 
-def test_rebuild_basis_deterministic():
-    state = evolved_oscillator_state()
-    a = rebuild_basis(state, OSC, 4)
-    b = rebuild_basis(state, OSC, 4)
+def test_rebuild_basis_deterministic(warm_oscillator):
+    grid, basis, modes = warm_oscillator
+    values = modes @ basis.values
+    a = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+    )
+    b = orthogonalize(
+        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+    )
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.squared_norms, b.squared_norms)
 
