@@ -4,15 +4,18 @@ Global statistics come from the per-element conditional moments through the
 laws of total expectation and total variance. Elements are solved together
 in one batched time loop; with several workers each takes a contiguous range
 of element indices as its batch, and a fixed by-index reduction keeps the
-result independent of scheduling. :func:`fan_out` is the one place that
-spreads calls over worker processes, for the solve and the Monte Carlo
-oracle alike.
+result independent of scheduling. Each worker call runs in its own forked
+child, with one pipe that carries its messages and then its outcome to the
+parent (:class:`_Child`); the solve and the Monte Carlo oracle's
+:func:`fan_out` both fork through :func:`_forked`.
 """
 from __future__ import annotations
 
 import os
 import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -118,13 +121,13 @@ _PR_SET_PDEATHSIG = 1
 
 
 def _die_with_parent(parent: int) -> None:
-    """Pool initializer: end this worker when the process that forked it dies.
+    """End this worker child when the process that forked it dies.
 
-    An idle worker holds the write ends of its own call-queue pipe, so it
-    would never see EOF and would wait for good once its parent is killed
-    without unwinding. Where the C library has ``prctl`` the kernel sends
-    the worker SIGKILL when its parent dies; a parent that died before that
-    was set up is caught by the parent-pid check.
+    Called first in each child. A parent killed without unwinding cannot
+    kill its children, and a child busy in its call would otherwise run on
+    until it next writes to its pipe. Where the C library has ``prctl`` the
+    kernel sends the child SIGKILL when its parent dies; a parent that died
+    before that was set up is caught by the parent-pid check.
     """
     import ctypes
 
@@ -135,19 +138,91 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+class _Child:
+    """One worker call in a forked process, and the read end of its pipe.
+
+    The process runs ``task(send)``: each ``send(*message)`` reaches the
+    parent as one tuple, and the call's outcome, ``(True, result)`` or
+    ``(False, error)``, follows as the last message. The call is forked,
+    not pickled, so ``task`` may be any callable.
+    """
+
+    def __init__(self, task):
+        from multiprocessing import Pipe, get_context
+
+        self.conn, theirs = Pipe(duplex=False)
+        self.process = get_context("fork").Process(
+            target=_run_child, args=(task, theirs, os.getpid())
+        )
+        self.process.start()
+        theirs.close()
+
+    def receive(self):
+        """The next message; an error outcome if the process died before its own."""
+        try:
+            return self.conn.recv()
+        except EOFError:
+            self.process.join()
+            return False, RuntimeError(
+                f"worker process {self.process.pid} died "
+                f"(exit code {self.process.exitcode})"
+            )
+
+    def result(self):
+        """The call's result, read after every message before it; errors are raised."""
+        ok, value = self.receive()
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill the process if it still runs, and reap it."""
+        self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+def _run_child(task, conn, parent: int) -> None:
+    _die_with_parent(parent)
+    try:
+        outcome = True, task(lambda *message: conn.send(message))
+    except Exception as error:
+        outcome = False, error
+    try:
+        conn.send(outcome)
+    except Exception as error:  # the result or error does not pickle
+        value = outcome[1]
+        message = f"worker could not send {type(value).__name__}: {value} ({error})"
+        conn.send((False, RuntimeError(message)))
+
+
+@contextmanager
+def _forked(tasks):
+    """Fork a :class:`_Child` for each task; kill and reap them all on exit."""
+    children = []
+    try:
+        for task in tasks:
+            children.append(_Child(task))
+        yield children
+    finally:
+        for child in children:
+            child.stop()
+
+
 def fan_out(fn, calls, workers: int):
     """Yield ``fn(*call)`` for each call in ``calls``, in call order.
 
     ``calls`` is drawn lazily, ``workers`` calls at a time, so at most one
     group's arguments are held at once. Of each group the parent runs the
-    first call itself and ``workers - 1`` forked processes run the rest. A
-    group's results are yielded once every call of the group has finished;
-    if any of them failed, the error of the first failing call is raised
-    instead and no later call is drawn, so the error is that of the
-    lowest-index failing call. The pool is shut down before the error leaves
-    and when the generator ends or is closed, and its workers die with the
-    parent (see :func:`_die_with_parent`). With one worker or one call
-    everything runs inline and no pool is built.
+    first call itself and forks one child for each of the rest (see
+    :func:`_forked`). A group's results are yielded once every call of the
+    group has finished. The calls are read in order: if one fails, its
+    error is raised once every call before it has succeeded, the rest of
+    the group is killed rather than waited for, and no later call is drawn,
+    so the error is that of the lowest-index failing call. No child
+    outlives its group, and children die with the parent (see
+    :func:`_die_with_parent`). With one worker or one call everything runs
+    inline and nothing is forked.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -156,119 +231,52 @@ def fan_out(fn, calls, workers: int):
     if len(group) < 2:
         yield from (fn(*call) for call in chain(group, calls))
         return
-    from concurrent.futures import ProcessPoolExecutor, wait
-    from multiprocessing import get_context
-
-    # Forked workers inherit the solve's block pipes (see run_me_fsc).
-    with ProcessPoolExecutor(
-        len(group) - 1,
-        mp_context=get_context("fork"),
-        initializer=_die_with_parent,
-        initargs=(os.getpid(),),
-    ) as pool:
-        while group:
-            futures = [pool.submit(fn, *call) for call in group[1:]]
-            try:
-                results = [fn(*group[0])]
-            finally:
-                wait(futures)
-            results += [future.result() for future in futures]
-            # Free this group's arguments before the next group is drawn.
-            del group, futures
-            yield from results
-            group = list(islice(calls, workers))
-
-
-class _Stopped(Exception):
-    """A worker batch was told to stop because an earlier batch failed."""
-
-
-# Both ends of each block pipe of the solves in progress, keyed by the
-# descriptor of the worker's end. The pipes are made before the pool forks,
-# so a forked worker finds its end here, and closes every parent end it
-# inherited: then a pipe joins only its worker and the parent, and a worker
-# whose parent has gone gets an error instead of waiting to send for good.
-_PIPES: dict = {}
-
-
-class _BlockSender:
-    """A worker batch's end of its block pipe to the parent.
-
-    It pickles as the key of its pipe in ``_PIPES``. Each block of local
-    moments goes to the parent as it fills; a batch that fails, or that the
-    parent has stopped, sends ``None``.
-    """
-
-    def __init__(self, key: int):
-        self.key = key
-        self.conn = None
-
-    def open(self) -> None:
-        for parent_end, _ in _PIPES.values():
-            parent_end.close()
-        self.conn = _PIPES[self.key][1]
-
-    def __call__(self, start, means, variances) -> None:
-        if self.conn.poll():
-            raise _Stopped("an earlier batch failed")
-        self.conn.send((start, means, variances))
-
-    def close(self, failed: bool) -> None:
-        try:
-            if failed:
-                self.conn.send(None)
-        except OSError:
-            pass  # the parent has already stopped reading
-        finally:
-            self.conn.close()
+    while group:
+        tasks = [lambda _, call=call: fn(*call) for call in group[1:]]
+        with _forked(tasks) as children:
+            results = [fn(*group[0])]
+            results += [child.result() for child in children]
+        # Free this group's arguments before the next group is drawn.
+        del group, tasks, children
+        yield from results
+        group = list(islice(calls, workers))
 
 
 class _BlockReducer:
     """The parent's side of a solve: global moments from every batch's blocks.
 
     The parent's own batch, the first, hands it each block of its local
-    moments. It then takes the same block from each worker batch's pipe, in
-    batch order, and reduces their concatenation, which is in element-index
-    order. All batches use one block width, so the blocks line up.
+    moments. It then takes the same block from each worker batch's child,
+    in batch order, and reduces their concatenation, which is in
+    element-index order. All batches use one block width, so the blocks
+    line up.
 
-    A worker batch that fails, or whose process dies, ends its pipe early.
-    From then on nothing is reduced: the batches after it are stopped, and
-    those before it are still read to their end, so that every batch that
-    could raise a lower element id still runs (see :func:`fan_out`). When
-    the parent's own batch fails, every worker batch is stopped and read to
-    its end, so none is left blocked on a full pipe.
+    A worker batch that fails, or whose process dies, sends its outcome in
+    place of a block. From then on nothing is reduced: the batches after it
+    are killed, and those before it are still read to their end, so that
+    every batch that could raise a lower element id still runs.
     """
 
-    def __init__(self, masses, mean, variance, n_workers: int):
+    def __init__(self, masses, mean, variance, children):
         self.masses = masses
         self.mean = mean
         self.variance = variance
-        self.failed = False
-        self.pipes = []
-        self.senders = []
-        if n_workers:
-            from multiprocessing import Pipe
-
-            for _ in range(n_workers):
-                mine, theirs = Pipe()
-                _PIPES[theirs.fileno()] = (mine, theirs)
-                self.pipes.append(mine)
-                self.senders.append(_BlockSender(theirs.fileno()))
-
-    def open(self) -> None:
-        # The pool has forked by now, so the workers hold their ends. With
-        # the parent's copies closed, a worker that dies ends its pipe.
-        for sender in self.senders:
-            _PIPES[sender.key][1].close()
+        self.children = children
+        # Worker batches still sending blocks are children[:reading].
+        self.reading = len(children)
+        self.error = None
 
     def __call__(self, start, means, variances) -> None:
         parts = [(means, variances)]
-        for b in range(len(self.pipes)):
-            if self.pipes[b] is not None:
-                block = self._receive(b)
-                if block is not None:
-                    parts.append(block[1:])
-        if self.failed:
+        for b in range(self.reading):
+            message = self.children[b].receive()
+            if len(message) == 2:  # the outcome, (False, error), not a block
+                self.reading, self.error = b, message[1]
+                for child in self.children[b + 1 :]:
+                    child.stop()
+                break
+            parts.append(message[1:])
+        if self.error is not None:
             return
         if len(parts) > 1:
             means = np.concatenate([m for m, _ in parts])
@@ -278,56 +286,23 @@ class _BlockReducer:
             means, variances, self.masses
         )
 
-    def close(self, failed: bool) -> None:
-        if failed:
-            self.failed = True
-            self._stop(range(len(self.pipes)))
-            for b in range(len(self.pipes)):
-                while self.pipes[b] is not None:
-                    self._receive(b)
+    def results(self) -> list:
+        """Every worker batch's result, once the parent's batch has finished.
 
-    def release(self) -> None:
-        """Close and forget every pipe, whether or not the solve got to run."""
-        for sender in self.senders:
-            for end in _PIPES.pop(sender.key):
-                end.close()
-
-    def _receive(self, b: int):
-        """Next block from worker batch ``b``; None once the batch has failed."""
-        try:
-            block = self.pipes[b].recv()
-        except (EOFError, ConnectionResetError):
-            # The process died (a reset if it left our stop unread); the
-            # pool reports it.
-            block = None
-        if block is None:
-            self.failed = True
-            self._stop(range(b + 1, len(self.pipes)))
-        if block is None or block[0] + block[1].shape[2] == self.mean.shape[1]:
-            self.pipes[b] = None
-        return block
-
-    def _stop(self, batches) -> None:
-        for b in batches:
-            if self.pipes[b] is not None:
-                try:
-                    self.pipes[b].send(None)
-                except OSError:
-                    pass  # the batch has already ended
+        The error of the lowest failing batch is raised instead.
+        """
+        results = [child.result() for child in self.children[: self.reading]]
+        if self.error is not None:
+            raise self.error
+        return results
 
 
-def _solve_batch(outlet, n_elements: int, *args):
+def _solve_batch(n_elements: int, args, outlet):
     """Solve one batch, handing its moment blocks to ``outlet``.
 
     Returns the batch's fallback events and orthogonality residuals.
     """
-    outlet.open()
-    try:
-        series = run_elements(*args, reduce=outlet, block_elements=n_elements)
-    except BaseException:
-        outlet.close(failed=True)
-        raise
-    outlet.close(failed=False)
+    series = run_elements(*args, reduce=outlet, block_elements=n_elements)
     events = [ev for one in series for ev in one.fallback_events]
     residuals = [
         one.max_orthogonality_residual
@@ -356,14 +331,15 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     """Partition, solve every element, and aggregate at each time step.
 
     The elements are split into contiguous index ranges, one batch per
-    worker; the parent solves the first range and forked processes the rest
-    (see :func:`fan_out`). Each batch hands its local moments on a block of
-    steps at a time, the workers' through a pipe, and the parent reduces
-    each block to global moments once every batch has delivered it, so no
-    per-element series is stored. An element's numbers do not depend on its
-    batch, and the reduction sums over elements in index order, so the
-    output is bit-identical for any worker count, block size and completion
-    order.
+    worker; the parent solves the first range and a forked child each of
+    the rest (see :func:`_forked`). Each batch hands its local moments on a
+    block of steps at a time, the children's through their pipes, and the
+    parent reduces each block to global moments once every batch has
+    delivered it, so no per-element series is stored. An element's numbers
+    do not depend on its batch, and the reduction sums over elements in
+    index order, so the output is bit-identical for any worker count, block
+    size and completion order. A blow-up names the lowest offending element
+    id (see :class:`_BlockReducer`).
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     masses = partition.masses
@@ -374,26 +350,16 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     global_var = np.empty_like(global_mean)
 
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
-    reducer = _BlockReducer(masses, global_mean, global_var, len(batches) - 1)
-    events, residuals = [], []
-    try:
-        calls = [
-            (outlet, n_elements, *_batch_args(config, partition, ids))
-            for outlet, ids in zip([reducer, *reducer.senders], batches)
-        ]
-        if len(calls) > 1:
-            # A call that cannot be pickled never reaches its worker, and the
-            # parent would wait on that batch's pipe for good: fail here.
-            import pickle
-
-            pickle.dumps(calls[1])
-            nodes = config.points_per_axis ** len(config.distributions)
-            _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
-        for batch_events, batch_residuals in fan_out(_solve_batch, calls, config.workers):
-            events += batch_events
-            residuals += batch_residuals
-    finally:
-        reducer.release()
+    args = [_batch_args(config, partition, ids) for ids in batches]
+    if len(args) > 1:
+        nodes = config.points_per_axis ** len(config.distributions)
+        _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
+    tasks = [partial(_solve_batch, n_elements, batch) for batch in args[1:]]
+    with _forked(tasks) as children:
+        reducer = _BlockReducer(masses, global_mean, global_var, children)
+        outcomes = [_solve_batch(n_elements, args[0], reducer), *reducer.results()]
+    events = [ev for batch_events, _ in outcomes for ev in batch_events]
+    residuals = [r for _, batch_residuals in outcomes for r in batch_residuals]
     return MomentSeries(
         times=np.arange(n_steps + 1) * config.dt,
         mean=global_mean,

@@ -277,10 +277,6 @@ def parse_config(argv=None) -> RunConfig:
         raise ConfigError("mc_samples must be >= 1")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
-    if warm_degree < 0:
-        raise ConfigError("warmstart degree must be >= 0")
-    if warm_duration < 0:
-        raise ConfigError("warmstart duration must be >= 0")
 
     return RunConfig(
         problem=problem,
@@ -365,13 +361,10 @@ def _write_errors(path: Path, errors: ErrorSeries) -> None:
 def run_and_emit(config: RunConfig) -> int:
     """Run solver and reference, write moments.csv and errors.csv."""
     model = MODELS[_PRESETS[config.problem].model_name]
-    warmstart = (
-        WarmStart(config.warmstart_degree, config.warmstart_duration)
-        if config.warmstart_duration > 0
-        else None
-    )
     start = time.perf_counter()
     try:
+        # A zero duration means no warm start (run_elements).
+        warmstart = WarmStart(config.warmstart_degree, config.warmstart_duration)
         solver_config = SolverConfig(
             model=model,
             distributions=config.distributions,

@@ -62,8 +62,8 @@ class NumericalBlowup(RuntimeError):
     """Raised when an element's state stops being representable."""
 
     def __init__(self, message: str, t: float, element_id: int):
-        # All three go into args so the exception survives pickling across
-        # process-pool boundaries.
+        # All three go into args so the exception survives pickling from a
+        # worker process to the parent.
         super().__init__(message, t, element_id)
         self.t = t
         self.element_id = element_id

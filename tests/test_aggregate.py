@@ -29,7 +29,7 @@ from mefsc import (
     run_elements,
     run_me_fsc,
 )
-from mefsc.aggregate import _check_masses, _total_moments
+from mefsc.aggregate import _check_masses, _total_moments, fan_out
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -207,9 +207,8 @@ def test_run_me_fsc_workers_do_not_change_results():
 def time_limit(seconds: int):
     """Fail with TimeoutError if the block runs longer than ``seconds``.
 
-    The worker processes are killed first: a parent stuck with a worker
-    blocked on a pipe could not otherwise unwind, because its pool waits
-    for that worker.
+    The worker processes are killed first: a parent stuck reading from a
+    worker that never sends could not otherwise unwind.
     """
 
     def expire(*_):
@@ -298,15 +297,50 @@ def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-ORPHAN_SCRIPT = f"""
+def test_worker_killed_mid_solve_is_reported(monkeypatch):
+    # The worker's batch kills itself at t = 50; the parent's range runs on
+    # to the end, and the solve then reports how the worker died.
+    parent = os.getpid()
+    rk4 = fsc_element._rk4
+
+    def dying_rk4(t, modes, basis, model, nodes, dt, ids):
+        if os.getpid() != parent and t >= 50.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rk4(t, modes, basis, model, nodes, dt, ids)
+
+    monkeypatch.setattr(fsc_element, "_rk4", dying_rk4)
+    config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
+    with time_limit(60):
+        with pytest.raises(RuntimeError, match=r"died \(exit code -9\)"):
+            run_me_fsc(config)
+    assert multiprocessing.active_children() == []
+
+
+def fail_with_a_lambda(i):
+    if i:
+        error = ValueError(f"call {i} failed")
+        error.callback = lambda: None
+        raise error
+
+
+def test_unpicklable_worker_error_is_reported():
+    # The worker's error does not pickle, so it cannot reach the parent as
+    # it is; a RuntimeError that names it does.
+    with time_limit(60):
+        with pytest.raises(RuntimeError, match="ValueError: call 1 failed"):
+            list(fan_out(fail_with_a_lambda, [(0,), (1,)], 2))
+    assert multiprocessing.active_children() == []
+
+
+ORPHAN_SCRIPT = """
 import os, sys, time
-sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+sys.path.insert(0, {src!r})
 from mefsc.aggregate import fan_out
 
 def call(i):
     if i:
         print(os.getpid(), flush=True)
-    else:
+    if not i or {busy}:
         time.sleep(60)
 
 list(fan_out(call, [(0,), (1,)], 2))
@@ -323,11 +357,15 @@ def running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-def test_pool_worker_dies_with_a_killed_parent():
-    # The parent sleeps in its own call while its worker, done with the
-    # other call, waits idle for more; then the parent is killed outright.
+@pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+def test_pool_worker_dies_with_a_killed_parent(busy):
+    # The parent sleeps in its own call while its worker is done with the
+    # other call (idle) or sleeps in it (busy); then the parent is killed
+    # outright.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = ORPHAN_SCRIPT.format(src=src, busy=busy)
     proc = subprocess.Popen(
-        [sys.executable, "-c", ORPHAN_SCRIPT], stdout=subprocess.PIPE, text=True
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
     )
     try:
         worker = int(proc.stdout.readline())

@@ -131,8 +131,16 @@ def test_too_small_basis_message(capsys):
         (["--elements", "0"], "element counts must be >= 1"),
         (["--workers", "0"], "workers must be >= 1"),
         (["--basis", "30"], "at most 18"),
-        (["--warmstart-duration", "-1"], "warmstart duration must be >= 0"),
+        (["--warmstart-duration", "-1"], "warm-start duration must be >= 0"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (
+            ["--warmstart-degree", "-1", "--warmstart-duration", "0"],
+            "warm-start degree must be an integer >= 0",
+        ),
+        (
+            ["--warmstart-degree", "-1", "--warmstart-duration", "1.0"],
+            "warm-start degree must be an integer >= 0",
+        ),
     ],
 )
 def test_solver_inputs_rejected_with_exit_2(tmp_path, capsys, flags, message):
@@ -310,6 +318,8 @@ assert not loaded, loaded
 for argv in {runs!r}:
     assert main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
+# Workers are forked per call; no process pool is built.
+assert "concurrent.futures" not in sys.modules
 """
     )
 
