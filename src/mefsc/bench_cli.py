@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,56 +31,67 @@ from .reference import (
 
 REFERENCES = ("closed_form", "quasi_exact", "monte_carlo")
 
-_CONFIG_KEYS = (
-    "problem",
-    "distribution",
-    "basis",
-    "elements",
-    "dt",
-    "duration",
-    "warmstart_degree",
-    "warmstart_duration",
-    "reference",
-    "mc_samples",
-    "seed",
-    "workers",
-    "out",
-)
+# Every setting of a run: its type and its help text. Each one is a flag
+# (--name, with dashes) and a config-file key, and every preset gives each a
+# value but the problem id, which picks the preset. A type in a list marks a
+# per-axis setting: a comma list, or one value for every random axis.
+_SETTINGS = {
+    "problem": (int, "benchmark id (1-4)"),
+    "distribution": ([str], "input law name, or comma list with one name per axis"),
+    "basis": (int, "basis truncation index P"),
+    "elements": ([int], "element count, or comma list per axis"),
+    "dt": (float, "time step (s)"),
+    "duration": (float, "integration horizon (s)"),
+    "warmstart_degree": (int, "warm-start polynomial degree"),
+    "warmstart_duration": (float, "warm-start interval length (s)"),
+    "reference": (str, f"reference oracle, one of {', '.join(REFERENCES)}"),
+    "mc_samples": (int, "Monte Carlo sample count"),
+    "seed": (int, "Monte Carlo seed"),
+    "workers": (int, "worker processes for the solve and Monte Carlo"),
+    "out": (str, "output directory for the CSV files"),
+}
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Preset:
-    model_name: str
-    distribution_names: tuple[str, ...]
-    truncation: int
-    element_counts: tuple[int, ...]
-    dt: float
-    duration: float
-    warmstart_degree: int
-    warmstart_duration: float
-    reference: str
+# The settings every preset gives the same value.
+_SHARED = {"mc_samples": 1_000_000, "seed": 0, "workers": 1, "out": "."}
 
-
+# Problem id -> (model name, a value for every other setting).
 _PRESETS = {
-    1: Preset("oscillator", ("uniform",), 6, (8,), 1e-3, 150.0, 7, 1.0, "closed_form"),
-    2: Preset("third_order", ("uniform",), 7, (8,), 1e-3, 150.0, 7, 1.0, "quasi_exact"),
-    3: Preset(
-        "vanderpol", ("uniform", "beta"), 4, (8, 8), 5e-3, 150.0, 9, 1.0, "monte_carlo"
+    1: (
+        "oscillator",
+        dict(
+            _SHARED, distribution="uniform", basis=6, elements=8, dt=1e-3,
+            duration=150.0, warmstart_degree=7, warmstart_duration=1.0,
+            reference="closed_form",
+        ),
     ),
-    4: Preset(
+    2: (
+        "third_order",
+        dict(
+            _SHARED, distribution="uniform", basis=7, elements=8, dt=1e-3,
+            duration=150.0, warmstart_degree=7, warmstart_duration=1.0,
+            reference="quasi_exact",
+        ),
+    ),
+    3: (
+        "vanderpol",
+        dict(
+            _SHARED, distribution="uniform,beta", basis=4, elements=8,
+            dt=5e-3, duration=150.0, warmstart_degree=9, warmstart_duration=1.0,
+            reference="monte_carlo",
+        ),
+    ),
+    4: (
         "kraichnan_orszag",
-        ("uniform", "uniform", "uniform"),
-        6,
-        (8, 8, 8),
-        5e-3,
-        50.0,
-        0,
-        0.0,
-        "monte_carlo",
+        dict(
+            _SHARED, distribution="uniform", basis=6, elements=8, dt=5e-3,
+            duration=50.0, warmstart_degree=0, warmstart_duration=0.0,
+            reference="monte_carlo",
+        ),
     ),
 }
 
@@ -118,7 +128,6 @@ _DISTRIBUTIONS: dict[int, tuple[dict[str, Distribution], ...]] = {
 @dataclass(frozen=True)
 class RunConfig:
     problem: int
-    distribution_names: tuple[str, ...]
     distributions: tuple[Distribution, ...]
     truncation: int
     element_counts: tuple[int, ...]
@@ -139,26 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Propagate parametric uncertainty through a benchmark ODE "
         "system and report moment series and errors against a reference.",
     )
-    parser.add_argument("--problem", type=int, help="benchmark id (1-4)")
-    parser.add_argument(
-        "--distribution",
-        help="input law name, or comma list with one name per random axis",
-    )
-    parser.add_argument("--basis", type=int, help="basis truncation index P")
-    parser.add_argument("--elements", help="element count, or comma list per axis")
-    parser.add_argument("--dt", type=float, help="time step (s)")
-    parser.add_argument("--duration", type=float, help="integration horizon (s)")
-    parser.add_argument("--warmstart-degree", type=int, help="warm-start polynomial degree")
-    parser.add_argument(
-        "--warmstart-duration", type=float, help="warm-start interval length (s)"
-    )
-    parser.add_argument("--reference", choices=REFERENCES, help="reference oracle")
-    parser.add_argument("--mc-samples", type=int, help="Monte Carlo sample count")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
-    parser.add_argument(
-        "--workers", type=int, help="worker processes for the solve and Monte Carlo"
-    )
-    parser.add_argument("--out", help="output directory for the CSV files")
+    for name, (kind, text) in _SETTINGS.items():
+        scalar = None if isinstance(kind, list) else kind
+        parser.add_argument("--" + name.replace("_", "-"), type=scalar, help=text)
     parser.add_argument("--config", help="flat key=value config file")
     return parser
 
@@ -177,14 +169,14 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def _convert(key: str, value, kind):
-    if value is None or isinstance(value, kind):
+    if isinstance(value, kind):
         return value
     try:
         return kind(value)
@@ -193,11 +185,7 @@ def _convert(key: str, value, kind):
 
 
 def _split_list(key: str, value, axes: int, kind) -> tuple:
-    if isinstance(value, (tuple, list)):
-        items = tuple(value)
-    else:
-        items = tuple(part.strip() for part in str(value).split(","))
-    items = tuple(_convert(key, item, kind) for item in items)
+    items = tuple(_convert(key, part.strip(), kind) for part in str(value).split(","))
     if len(items) == 1 and axes > 1:
         items = items * axes
     if len(items) != axes:
@@ -213,34 +201,29 @@ def parse_config(argv=None) -> RunConfig:
     Precedence: command-line flags, then config-file entries, then the
     problem preset.
     """
-    args = _build_parser().parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
+    flags = vars(_build_parser().parse_args(argv))
+    path = flags.pop("config")
+    given = _read_config_file(path) if path else {}
+    given.update((key, value) for key, value in flags.items() if value is not None)
 
-    def pick(key: str):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return file_values.get(key)
-
-    problem = _convert("problem", pick("problem"), int)
-    if problem is None:
+    if "problem" not in given:
         raise ConfigError("a problem id is required (--problem 1..4)")
+    problem = _convert("problem", given["problem"], int)
     if problem not in _PRESETS:
         raise ConfigError(f"unknown problem {problem}; choose from 1, 2, 3, 4")
-    preset = _PRESETS[problem]
-    model = MODELS[preset.model_name]
-    axes = model.param_dim
+    model_name, preset = _PRESETS[problem]
+    axes = MODELS[model_name].param_dim
 
-    def merged(key: str, default):
-        value = pick(key)
-        return default if value is None else value
+    values = {**preset, **given}
+    for key, (kind, _) in _SETTINGS.items():
+        if isinstance(kind, list):
+            values[key] = _split_list(key, values[key], axes, kind[0])
+        else:
+            values[key] = _convert(key, values[key], kind)
 
-    distribution_names = _split_list(
-        "distribution", merged("distribution", preset.distribution_names), axes, str
-    )
     choices = _DISTRIBUTIONS[problem]
     distributions = []
-    for axis, name in enumerate(distribution_names):
+    for axis, name in enumerate(values.pop("distribution")):
         if name not in choices[axis]:
             raise ConfigError(
                 f"problem {problem} axis {axis + 1} supports "
@@ -248,56 +231,28 @@ def parse_config(argv=None) -> RunConfig:
             )
         distributions.append(choices[axis][name])
 
-    truncation = _convert("basis", merged("basis", preset.truncation), int)
-    element_counts = _split_list(
-        "elements", merged("elements", preset.element_counts), axes, int
-    )
-    dt = _convert("dt", merged("dt", preset.dt), float)
-    duration = _convert("duration", merged("duration", preset.duration), float)
-    warm_degree = _convert(
-        "warmstart_degree", merged("warmstart_degree", preset.warmstart_degree), int
-    )
-    warm_duration = _convert(
-        "warmstart_duration",
-        merged("warmstart_duration", preset.warmstart_duration),
-        float,
-    )
-    reference = str(merged("reference", preset.reference))
-    mc_samples = _convert("mc_samples", merged("mc_samples", 1_000_000), int)
-    seed = _convert("seed", merged("seed", 0), int)
-    workers_default = os.environ.get("MEFSC_WORKERS", "1")
-    workers = _convert("workers", merged("workers", workers_default), int)
-    out = str(merged("out", "."))
-
+    reference = values["reference"]
     if reference not in REFERENCES:
         raise ConfigError(f"reference must be one of {REFERENCES}, got {reference!r}")
     if reference == "closed_form" and problem != 1:
         raise ConfigError("closed_form reference exists only for problem 1")
-    if mc_samples < 1:
+    if values["mc_samples"] < 1:
         raise ConfigError("mc_samples must be >= 1")
-    if seed < 0:
+    if values["seed"] < 0:
         raise ConfigError("seed must be >= 0")
 
+    truncation = values.pop("basis")
+    element_counts = values.pop("elements")
     return RunConfig(
-        problem=problem,
-        distribution_names=distribution_names,
         distributions=tuple(distributions),
         truncation=truncation,
         element_counts=element_counts,
-        dt=dt,
-        duration=duration,
-        warmstart_degree=warm_degree,
-        warmstart_duration=warm_duration,
-        reference=reference,
-        mc_samples=mc_samples,
-        seed=seed,
-        workers=workers,
-        out=out,
+        **values,
     )
 
 
 def _reference_series(config: RunConfig, solver: MomentSeries) -> MomentSeries:
-    model = MODELS[_PRESETS[config.problem].model_name]
+    model = MODELS[_PRESETS[config.problem][0]]
     if config.reference == "closed_form":
         return exact_problem1_moments(solver.times, config.distributions[0])
     if config.reference == "quasi_exact":
@@ -360,7 +315,7 @@ def _write_errors(path: Path, errors: ErrorSeries) -> None:
 
 def run_and_emit(config: RunConfig) -> int:
     """Run solver and reference, write moments.csv and errors.csv."""
-    model = MODELS[_PRESETS[config.problem].model_name]
+    model = MODELS[_PRESETS[config.problem][0]]
     start = time.perf_counter()
     try:
         # A zero duration means no warm start (run_elements).

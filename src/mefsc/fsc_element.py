@@ -44,8 +44,10 @@ def step_count(duration: float, dt: float, what: str = "duration") -> int:
     Raises ValueError, naming the nearest whole horizon, rather than
     silently running to a rounded one.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0 and isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not isfinite(duration):
+        raise ValueError(f"{what} must be finite, got {duration!r}")
     if duration < 0:
         raise ValueError(f"{what} must be >= 0")
     ratio = duration / dt

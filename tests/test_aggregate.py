@@ -277,8 +277,8 @@ def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
     # 256 elements: a default block is 128 steps, and the worker's half of
     # it (512 kB) is more than the pipe holds. The parent's range stalls at
     # t = 100 and then fails, by which time the worker is blocked sending its
-    # first block. Unless the parent reads it, the worker never sees that it
-    # has been stopped, and the pool waits for it for good.
+    # first block. The parent must kill the blocked worker and reap it rather
+    # than wait for it to finish sending, or the solve never returns.
     parent = os.getpid()
     rk4 = fsc_element._rk4
 

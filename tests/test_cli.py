@@ -95,6 +95,47 @@ def test_flag_overrides_file_overrides_preset(tmp_path):
     assert cfg.dt == 1e-3  # preset fills the rest
 
 
+# A value for every setting, other than problem 1's preset, and the RunConfig
+# field it sets.
+SETTING_VALUES = {
+    "problem": ("2", "problem"),
+    "distribution": ("gamma", "distributions"),
+    "basis": ("5", "truncation"),
+    "elements": ("3", "element_counts"),
+    "dt": ("0.002", "dt"),
+    "duration": ("2.0", "duration"),
+    "warmstart_degree": ("4", "warmstart_degree"),
+    "warmstart_duration": ("0.5", "warmstart_duration"),
+    "reference": ("monte_carlo", "reference"),
+    "mc_samples": ("500", "mc_samples"),
+    "seed": ("9", "seed"),
+    "workers": ("2", "workers"),
+    "out": ("elsewhere", "out"),
+}
+
+
+@pytest.mark.parametrize("key", list(bench_cli._SETTINGS))
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path, key):
+    value, field = SETTING_VALUES[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"problem = 1\n{key} = {value}\n")
+    from_file = parse_config(["--config", str(cfg_file)])
+    flag = "--" + key.replace("_", "-")
+    from_flag = parse_config(["--problem", "1", flag, value])
+    assert from_flag == from_file
+    assert getattr(from_flag, field) != getattr(parse_config(["--problem", "1"]), field)
+
+
+def test_workers_default_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("MEFSC_WORKERS", "3")
+    assert parse_config(["--problem", "1"]).workers == 1
+
+
+def test_unknown_reference_flag_is_exit_2(capsys):
+    assert main(["--problem", "1", "--reference", "bogus"]) == 2
+    assert "reference must be one of" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("problem = 1\nbogus_key = 3\n")
@@ -141,6 +182,11 @@ def test_too_small_basis_message(capsys):
             ["--warmstart-degree", "-1", "--warmstart-duration", "1.0"],
             "warm-start degree must be an integer >= 0",
         ),
+        (["--duration", "inf"], "duration must be finite"),
+        (["--duration", "nan"], "duration must be finite"),
+        (["--warmstart-duration", "inf"], "warm-start duration must be finite"),
+        (["--dt", "inf"], "dt must be positive and finite"),
+        (["--dt", "nan"], "dt must be positive and finite"),
     ],
 )
 def test_solver_inputs_rejected_with_exit_2(tmp_path, capsys, flags, message):
