@@ -4,10 +4,11 @@ Global statistics come from the per-element conditional moments through the
 laws of total expectation and total variance. Elements are solved together
 in one batched time loop; with several workers each takes a contiguous range
 of element indices as its batch, and a fixed by-index reduction keeps the
-result independent of scheduling. Each worker call runs in its own forked
-child, with one pipe that carries its messages and then its outcome to the
-parent (:class:`_Child`); the solve and the Monte Carlo oracle's
-:func:`fan_out` both fork through :func:`_forked`.
+result independent of scheduling. The solve and the Monte Carlo oracle
+both fork through :func:`fork_reduce`: the parent runs the first call, each
+other call runs in its own forked child, with one pipe that carries its
+blocks and then its outcome to the parent (:class:`_Child`), and the parent
+combines each block of all the calls in call order.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
 
 import numpy as np
 
@@ -209,68 +209,34 @@ def _forked(tasks):
             child.stop()
 
 
-def fan_out(fn, calls, workers: int):
-    """Yield ``fn(*call)`` for each call in ``calls``, in call order.
-
-    ``calls`` is drawn lazily, ``workers`` calls at a time, so at most one
-    group's arguments are held at once. Of each group the parent runs the
-    first call itself and forks one child for each of the rest (see
-    :func:`_forked`). A group's results are yielded once every call of the
-    group has finished. The calls are read in order: if one fails, its
-    error is raised once every call before it has succeeded, the rest of
-    the group is killed rather than waited for, and no later call is drawn,
-    so the error is that of the lowest-index failing call. No child
-    outlives its group, and children die with the parent (see
-    :func:`_die_with_parent`). With one worker or one call everything runs
-    inline and nothing is forked.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    calls = iter(calls)
-    group = list(islice(calls, workers))
-    if len(group) < 2:
-        yield from (fn(*call) for call in chain(group, calls))
-        return
-    while group:
-        tasks = [lambda _, call=call: fn(*call) for call in group[1:]]
-        with _forked(tasks) as children:
-            results = [fn(*group[0])]
-            results += [child.result() for child in children]
-        # Free this group's arguments before the next group is drawn.
-        del group, tasks, children
-        yield from results
-        group = list(islice(calls, workers))
-
-
 class _BlockReducer:
-    """The parent's side of a solve: global moments from every batch's blocks.
+    """The parent's side of :func:`fork_reduce`: one ``combine`` per block.
 
-    The parent's own batch, the first, hands it each block of its local
-    moments. It then takes the same block from each worker batch's child,
-    in batch order, and reduces their concatenation, which is in
-    element-index order. All batches use one block width, so the blocks
-    line up.
+    The parent's own call, the first, hands it each block as
+    ``(start, *arrays)``. It then takes the same block from each worker
+    call's child, in call order, and calls ``combine(start, *arrays)`` with
+    each array concatenated over the calls along axis 0.
 
-    A worker batch that fails, or whose process dies, sends its outcome in
-    place of a block. From then on nothing is reduced: the batches after it
+    A worker call that fails, or whose process dies, sends its outcome in
+    place of a block. From then on nothing is combined: the calls after it
     are killed, and those before it are still read to their end, so that
-    every batch that could raise a lower element id still runs.
+    every call that could raise an earlier error still runs.
     """
 
-    def __init__(self, masses, mean, variance, children):
-        self.masses = masses
-        self.mean = mean
-        self.variance = variance
+    def __init__(self, combine, children):
+        self.combine = combine
         self.children = children
-        # Worker batches still sending blocks are children[:reading].
+        # Worker calls still sending blocks are children[:reading].
         self.reading = len(children)
         self.error = None
 
-    def __call__(self, start, means, variances) -> None:
-        parts = [(means, variances)]
+    def __call__(self, start, *arrays) -> None:
+        parts = [arrays]
         for b in range(self.reading):
             message = self.children[b].receive()
-            if len(message) == 2:  # the outcome, (False, error), not a block
+            # A block is (start, *arrays) with two arrays or more; the
+            # outcome, (False, error), has two items.
+            if len(message) == 2:
                 self.reading, self.error = b, message[1]
                 for child in self.children[b + 1 :]:
                     child.stop()
@@ -279,22 +245,27 @@ class _BlockReducer:
         if self.error is not None:
             return
         if len(parts) > 1:
-            means = np.concatenate([m for m, _ in parts])
-            variances = np.concatenate([v for _, v in parts])
-        stop = start + means.shape[2]
-        self.mean[:, start:stop], self.variance[:, start:stop] = _total_moments(
-            means, variances, self.masses
-        )
+            arrays = [np.concatenate(column) for column in zip(*parts)]
+        self.combine(start, *arrays)
 
-    def results(self) -> list:
-        """Every worker batch's result, once the parent's batch has finished.
 
-        The error of the lowest failing batch is raised instead.
-        """
-        results = [child.result() for child in self.children[: self.reading]]
-        if self.error is not None:
-            raise self.error
-        return results
+def fork_reduce(calls, combine) -> list:
+    """Run ``call(outlet)`` for each call; return their results in call order.
+
+    The parent runs the first call itself and forks a child for each of the
+    rest (see :func:`_forked`); with one call nothing is forked. Every call
+    hands ``outlet(start, *arrays)`` the same number of blocks, so the
+    blocks line up (see :class:`_BlockReducer`). The error raised is that
+    of the lowest-index failing call. No child outlives this call, and
+    children die with the parent (see :func:`_die_with_parent`).
+    """
+    with _forked(calls[1:]) as children:
+        reducer = _BlockReducer(combine, children)
+        first = calls[0](reducer)
+        results = [child.result() for child in children[: reducer.reading]]
+        if reducer.error is not None:
+            raise reducer.error
+        return [first, *results]
 
 
 def _solve_batch(n_elements: int, args, outlet):
@@ -331,15 +302,15 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     """Partition, solve every element, and aggregate at each time step.
 
     The elements are split into contiguous index ranges, one batch per
-    worker; the parent solves the first range and a forked child each of
-    the rest (see :func:`_forked`). Each batch hands its local moments on a
-    block of steps at a time, the children's through their pipes, and the
-    parent reduces each block to global moments once every batch has
-    delivered it, so no per-element series is stored. An element's numbers
-    do not depend on its batch, and the reduction sums over elements in
-    index order, so the output is bit-identical for any worker count, block
-    size and completion order. A blow-up names the lowest offending element
-    id (see :class:`_BlockReducer`).
+    worker, run through :func:`fork_reduce`: the parent solves the first
+    range and a forked child each of the rest. Each batch hands its local
+    moments on a block of steps at a time, the children's through their
+    pipes, and the parent reduces each block to global moments once every
+    batch has delivered it, so no per-element series is stored. An
+    element's numbers do not depend on its batch, and the reduction sums
+    over elements in index order, so the output is bit-identical for any
+    worker count, block size and completion order. A blow-up names the
+    lowest offending element id (see :class:`_BlockReducer`).
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     masses = partition.masses
@@ -354,10 +325,15 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
     if len(args) > 1:
         nodes = config.points_per_axis ** len(config.distributions)
         _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
-    tasks = [partial(_solve_batch, n_elements, batch) for batch in args[1:]]
-    with _forked(tasks) as children:
-        reducer = _BlockReducer(masses, global_mean, global_var, children)
-        outcomes = [_solve_batch(n_elements, args[0], reducer), *reducer.results()]
+
+    def write(start, means, variances):
+        stop = start + means.shape[2]
+        global_mean[:, start:stop], global_var[:, start:stop] = _total_moments(
+            means, variances, masses
+        )
+
+    calls = [partial(_solve_batch, n_elements, batch) for batch in args]
+    outcomes = fork_reduce(calls, write)
     events = [ev for batch_events, _ in outcomes for ev in batch_events]
     residuals = [r for _, batch_residuals in outcomes for r in batch_residuals]
     return MomentSeries(

@@ -32,6 +32,11 @@ from .measures import Distribution, build_quadrature
 # 1200 * 1e-3 = 1.2000000000000002 pass.
 WHOLE_STEP_RTOL = 1e-9
 
+# Most steps a horizon may take. Each step is a column of every moment
+# series (8 GB per row at 10**9 steps), so more is a mistyped step or
+# horizon; the presets take at most 150000. Past float range, round() fails.
+MAX_STEPS = 10**9
+
 # Size of the block buffer (means and variances together) that streamed local
 # moments pass through on their way to ``run_elements``'s ``reduce``, summed
 # over the batches of a run.
@@ -42,7 +47,7 @@ def step_count(duration: float, dt: float, what: str = "duration") -> int:
     """Number of ``dt`` steps in ``duration``, which must be a whole number.
 
     Raises ValueError, naming the nearest whole horizon, rather than
-    silently running to a rounded one.
+    silently running to a rounded one, and for more than MAX_STEPS steps.
     """
     if not (dt > 0 and isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -51,6 +56,8 @@ def step_count(duration: float, dt: float, what: str = "duration") -> int:
     if duration < 0:
         raise ValueError(f"{what} must be >= 0")
     ratio = duration / dt
+    if not ratio < MAX_STEPS + 0.5:
+        raise ValueError(f"{what} {duration!r} is over {MAX_STEPS} steps of dt {dt!r}")
     steps = round(ratio)
     if abs(ratio - steps) > WHOLE_STEP_RTOL * max(ratio, 1.0):
         raise ValueError(
@@ -76,15 +83,10 @@ class NumericalBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class FallbackEvent:
-    """One occasion where the exact transfer was replaced by projection.
-
-    ``row`` is -1: the whole transfer falls back, because a state germ had
-    been dropped.
-    """
+    """One occasion where an element's whole transfer was replaced by projection."""
 
     t: float
     element_id: int
-    row: int
     reason: str
 
 
@@ -167,7 +169,7 @@ def _transfer(values, basis: BasisStack, t, ids, events) -> np.ndarray:
     for e in np.flatnonzero(lost):
         modes[e] = values[e] @ basis.projector[e]
         if events is not None:
-            events[e].append(FallbackEvent(t, int(ids[e]), -1, "state germ dropped"))
+            events[e].append(FallbackEvent(t, int(ids[e]), "state germ dropped"))
     return modes
 
 

@@ -8,11 +8,12 @@ uniform time grid as the solver so errors are a direct subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite
 
 import numpy as np
 
-from .aggregate import MomentSeries, fan_out
+from .aggregate import MomentSeries, fork_reduce
 from .flowmap import ModelSpec
 from .fsc_element import NumericalBlowup, step_count
 from .measures import Distribution, DistributionKind, build_quadrature, gauss_legendre
@@ -260,39 +261,59 @@ def monte_carlo_moments(
     Samples come from a single counter-based stream (Philox) through the
     inverse CDFs, are integrated in fixed-size batches, and per-step batch
     statistics are merged in batch order with the standard parallel-variance
-    update (Chan, Golub & LeVeque 1983). The parent process draws every
-    batch's samples in order; with ``workers > 1`` the batches are
-    integrated on that many processes (:func:`~mefsc.aggregate.fan_out`).
-    Each batch's arithmetic and the merge order are fixed, so a given
-    (seed, n_samples) pair reproduces bit-identical series on any machine
-    and for any worker count. ``duration`` must be a whole number of steps.
+    update (Chan, Golub & LeVeque 1983). Batch j runs on worker j mod
+    ``workers``, the parent being worker 0 and the others forked children
+    (:func:`~mefsc.aggregate.fork_reduce`); each draws its own samples. The
+    batches' arithmetic and merge order are fixed, so a (seed, n_samples)
+    pair gives bit-identical series on any machine and for any worker
+    count. ``duration`` must be a whole number of steps.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n_steps = step_count(duration, dt)
     times = np.arange(n_steps + 1) * dt
-    n = model.state_dim
-    rng = np.random.Generator(np.random.Philox(seed))
+    axes = len(distributions)
+    n_batches = -(-n_samples // batch_size)
+    workers = min(workers, n_batches)
+    count = 0
+    mean = np.zeros((model.state_dim, n_steps + 1))
+    m2 = np.zeros_like(mean)
+    empty = np.empty((0, *mean.shape))
 
-    def batches():
-        for start in range(0, n_samples, batch_size):
-            b = min(batch_size, n_samples - start)
-            uniforms = rng.random((b, len(distributions)))
+    def worker(w, outlet):
+        # Hands over batch j as a block of sizes (1,), means and m2s (1, n, T),
+        # or an empty block past the last batch, so the rounds line up.
+        for j in range(w, -(-n_batches // workers) * workers, workers):
+            if j >= n_batches:
+                outlet(j, np.empty(0, dtype=int), empty, empty)
+                continue
+            # Philox is counter-based, four 64-bit draws per counter step, so
+            # a jump reaches the batch's first draw exactly (Salmon, Moraes,
+            # Dror & Shaw, SC 2011); a sample takes one draw per axis.
+            first = j * batch_size
+            bits = np.random.Philox(seed)
+            bits.advance(first * axes // 4)
+            bits.random_raw(first * axes % 4)
+            size = min(batch_size, n_samples - first)
+            uniforms = np.random.Generator(bits).random((size, axes))
             params = np.column_stack(
                 [dist.ppf(uniforms[:, k]) for k, dist in enumerate(distributions)]
             )
-            yield model, params, times, dt
+            b, batch_mean, batch_m2 = _monte_carlo_batch(model, params, times, dt)
+            outlet(j, np.array([b]), batch_mean[None], batch_m2[None])
 
-    count = 0
-    mean = np.zeros((n, n_steps + 1))
-    m2 = np.zeros((n, n_steps + 1))
-    for b, batch_mean, batch_m2 in fan_out(_monte_carlo_batch, batches(), workers):
-        total = count + b
-        delta = batch_mean - mean
-        mean += delta * (b / total)
-        m2 += batch_m2 + delta * delta * (count * b / total)
-        count = total
+    def merge(_, sizes, batch_means, batch_m2s):
+        nonlocal count, mean, m2
+        for b, batch_mean, batch_m2 in zip(sizes.tolist(), batch_means, batch_m2s):
+            total = count + b
+            delta = batch_mean - mean
+            mean += delta * (b / total)
+            m2 += batch_m2 + delta * delta * (count * b / total)
+            count = total
 
+    fork_reduce([partial(worker, w) for w in range(workers)], merge)
     variance = m2 / (count - 1) if count > 1 else np.zeros_like(m2)
     return MomentSeries(
         times=times,

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,7 @@ from mefsc import (
     run_elements,
     run_me_fsc,
 )
-from mefsc.aggregate import _check_masses, _total_moments, fan_out
+from mefsc.aggregate import _check_masses, _total_moments, fork_reduce
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -316,7 +317,7 @@ def test_worker_killed_mid_solve_is_reported(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def fail_with_a_lambda(i):
+def fail_with_a_lambda(i, outlet):
     if i:
         error = ValueError(f"call {i} failed")
         error.callback = lambda: None
@@ -326,24 +327,26 @@ def fail_with_a_lambda(i):
 def test_unpicklable_worker_error_is_reported():
     # The worker's error does not pickle, so it cannot reach the parent as
     # it is; a RuntimeError that names it does.
+    calls = [partial(fail_with_a_lambda, i) for i in (0, 1)]
     with time_limit(60):
         with pytest.raises(RuntimeError, match="ValueError: call 1 failed"):
-            list(fan_out(fail_with_a_lambda, [(0,), (1,)], 2))
+            fork_reduce(calls, combine=None)
     assert multiprocessing.active_children() == []
 
 
 ORPHAN_SCRIPT = """
 import os, sys, time
 sys.path.insert(0, {src!r})
-from mefsc.aggregate import fan_out
+from functools import partial
+from mefsc.aggregate import fork_reduce
 
-def call(i):
+def call(i, outlet):
     if i:
         print(os.getpid(), flush=True)
     if not i or {busy}:
         time.sleep(60)
 
-list(fan_out(call, [(0,), (1,)], 2))
+fork_reduce([partial(call, 0), partial(call, 1)], combine=None)
 """
 
 

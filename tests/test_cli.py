@@ -187,6 +187,12 @@ def test_too_small_basis_message(capsys):
         (["--warmstart-duration", "inf"], "warm-start duration must be finite"),
         (["--dt", "inf"], "dt must be positive and finite"),
         (["--dt", "nan"], "dt must be positive and finite"),
+        (["--duration", "1e308", "--dt", "1e-300"], "over 1000000000 steps"),
+        (
+            ["--elements", "1", "--basis", "4", "--duration", "1", "--dt", "1e-300"]
+            + ["--warmstart-duration", "0"],
+            "over 1000000000 steps",
+        ),
     ],
 )
 def test_solver_inputs_rejected_with_exit_2(tmp_path, capsys, flags, message):

@@ -94,7 +94,6 @@ def test_transfer_falls_back_when_germ_dropped(warm_oscillator):
     got = _transfer(values, new_basis, 1.0, np.array([3]), [events])
     assert np.array_equal(got, values @ new_basis.projector)
     assert len(events) == 1
-    assert events[0].row == -1
     assert events[0].element_id == 3
 
 

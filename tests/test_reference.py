@@ -1,5 +1,7 @@
 """Reference oracles: closed form, dense per-node integration, Monte Carlo."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,26 @@ def test_mc_worker_count_does_not_change_bits(name, dists, dt):
         assert np.array_equal(run.variance, runs[0].variance)
     with pytest.raises(ValueError, match="workers"):
         monte_carlo_moments(model, dists, 10, dt, dt, seed=5, workers=0)
+
+
+def test_mc_parent_draws_only_its_own_batches(tmp_path, monkeypatch):
+    # Four batches on two workers: the parent maps batches 0 and 2 through
+    # the inverse CDF, and its child batches 1 and 3.
+    log = tmp_path / "ppf.log"
+    ppf = Distribution.ppf
+
+    def logged_ppf(self, u):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return ppf(self, u)
+
+    monkeypatch.setattr(Distribution, "ppf", logged_ppf)
+    monte_carlo_moments(
+        OSC, (UNIFORM_K,), 4000, 1e-2, 0.02, seed=2, batch_size=1000, workers=2
+    )
+    pids = log.read_text().split()
+    assert len(pids) == 4
+    assert pids.count(str(os.getpid())) == 2
 
 
 def test_mc_standard_error_scaling():
@@ -345,13 +367,25 @@ def test_quasi_exact_matches_allocating_reference(name, dists, dt, points):
 def test_monte_carlo_matches_allocating_reference(name, dists, dt, points):
     model = MODELS[name]
     # Batches of 12000 and 8000 samples; the first is stepped in two chunks.
+    # A second batch after 12001 samples starts 12001 draws per axis into
+    # the stream, which for one to three axes is not a whole number of
+    # Philox's four draws per counter step, so the jump to it must also skip
+    # part of a step.
     assert 8000 < reference._RK4_CHUNK < 12000
-    got = monte_carlo_moments(
-        model, dists, 20000, dt, 20 * dt, seed=3, batch_size=12000
-    )
-    mean, var = _allocating_monte_carlo(model, dists, 20000, dt, 20, 3, 12000)
-    _assert_same_bits(got.mean, mean)
-    _assert_same_bits(got.variance, var)
+    for batch_size, workers in [(12000, 1), (12001, 1), (12001, 2)]:
+        got = monte_carlo_moments(
+            model,
+            dists,
+            20000,
+            dt,
+            20 * dt,
+            seed=3,
+            batch_size=batch_size,
+            workers=workers,
+        )
+        mean, var = _allocating_monte_carlo(model, dists, 20000, dt, 20, 3, batch_size)
+        _assert_same_bits(got.mean, mean)
+        _assert_same_bits(got.variance, var)
 
 
 def test_quasi_exact_refuses_large_grid():
