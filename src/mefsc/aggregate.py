@@ -90,32 +90,6 @@ def _total_moments(means: np.ndarray, variances: np.ndarray, masses: np.ndarray)
     return mean, variance
 
 
-# glibc's mallopt parameter numbers.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _reuse_freed_heap(step_bytes: int) -> None:
-    """Keep the heap that one step frees for the next, here and in forked workers.
-
-    Every step of a batch allocates and frees arrays of up to about
-    ``step_bytes``. glibc hands a freed heap top back to the OS once it
-    passes twice the largest block the process has freed so far, so a
-    process that never freed a much larger block faults the same pages in
-    again at every step. On the three-mode benchmark's two-worker solve
-    that was 25000 minor faults per batch against 5000, and about 9% of
-    the solve. Fixing the mmap and trim thresholds at about two and four
-    times ``step_bytes`` keeps that memory for reuse; forked workers
-    inherit them. Where the C library has no ``mallopt`` nothing is done.
-    """
-    import ctypes
-
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mmap_bytes = min(32 << 20, max(4 << 20, 2 * step_bytes))
-        mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
-        mallopt(_M_TRIM_THRESHOLD, 2 * mmap_bytes)
-
-
 # prctl's option number that asks for a signal when the parent dies.
 _PR_SET_PDEATHSIG = 1
 
@@ -322,9 +296,6 @@ def run_me_fsc(config: SolverConfig) -> MomentSeries:
 
     batches = np.array_split(np.arange(n_elements), min(config.workers, n_elements))
     args = [_batch_args(config, partition, ids) for ids in batches]
-    if len(args) > 1:
-        nodes = config.points_per_axis ** len(config.distributions)
-        _reuse_freed_heap(8 * len(batches[0]) * (config.truncation + 1) * nodes)
 
     def write(start, means, variances):
         stop = start + means.shape[2]

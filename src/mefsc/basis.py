@@ -45,45 +45,67 @@ class BasisStack:
     coefficients: np.ndarray
 
 
+def empty_stack(n_el: int, m: int, q: int) -> BasisStack:
+    """A :class:`BasisStack` of unfilled arrays for ``orthogonalize(work=)``: views
+    of candidate-major arrays, so that its row operations are contiguous."""
+    values = np.empty((m, n_el, q))
+    return BasisStack(
+        values.transpose(1, 0, 2),
+        np.empty_like(values).transpose(1, 2, 0),
+        np.empty((m, n_el)).T,
+        np.empty((m, n_el), dtype=bool).T,
+        np.empty((m, n_el, m)).transpose(1, 0, 2),
+    )
+
+
 def orthogonalize(
-    candidates: np.ndarray, weights: np.ndarray, drop_ratio: float = DROP_RATIO
+    candidates: np.ndarray, weights: np.ndarray, *, work: BasisStack | None = None
 ) -> BasisStack:
     """Batched Gram-Schmidt of (E, m, Q) candidates against (E, Q) weights.
 
     Classical Gram-Schmidt with one re-orthogonalization pass, run for all
     elements at once. Candidate 0 must be the constant one; it passes
     through untouched. A candidate whose squared norm after
-    orthogonalization drops to ``drop_ratio`` times its
+    orthogonalization drops to DROP_RATIO times its
     pre-orthogonalization squared norm or below, including one that is zero
     at every node, is masked in that element (see
     :class:`BasisStack`). Each element's result depends on its own
     candidates only, never on the rest of the batch.
+
+    The basis is built in ``work`` (from :func:`empty_stack`, same shape),
+    else in a new stack, and returned. ``candidates`` may be ``work.values``
+    itself, and are then orthogonalized in place.
     """
-    n_el, m, _ = candidates.shape
-    # Work candidate-major, (m, E, Q), so that every row operation below is
-    # on contiguous memory; the result is returned as (E, m, Q) views.
-    values = candidates.transpose(1, 0, 2).copy()
-    wvals = values * weights
-    pre = (values[:, :, None, :] @ wvals[:, :, :, None])[:, :, 0, 0]
-    floor = drop_ratio * pre
-    norms = pre.copy()
-    projector = np.empty_like(values)
-    np.divide(wvals[0], pre[0][:, None], out=projector[0])
-    kept = np.ones((m, n_el), dtype=bool)
-    coefs = np.zeros((m, n_el, m))
+    basis = work if work is not None else empty_stack(*candidates.shape)
+    values = basis.values.transpose(1, 0, 2)
+    if candidates is not basis.values:
+        values[...] = candidates.transpose(1, 0, 2)
+    # Until a projector row is final it holds the candidate's weighted
+    # values, then its projections onto the rows before it.
+    projector = basis.projector.transpose(2, 0, 1)
+    np.multiply(values, weights, out=projector)
+    pre = (values[:, :, None, :] @ projector[:, :, :, None])[:, :, 0, 0]
+    floor = DROP_RATIO * pre
+    projector[0] /= pre[0][:, None]
+    norms, kept = basis.squared_norms.T, basis.kept.T
+    coefs = basis.coefficients.transpose(1, 0, 2)
+    norms[0] = pre[0]
+    kept[...] = True
+    coefs[...] = 0.0
     coefs[0, :, 0] = 1.0
-    for i in range(1, m):
+    for i in range(1, values.shape[0]):
         v = values[i]
         seen = values[:i].transpose(1, 0, 2)
         seen_proj = projector[:i].transpose(1, 2, 0)
+        vw = projector[i]
         # Two passes: the second removes what rounding left of the first.
         first = v[:, None, :] @ seen_proj
-        v -= (first @ seen)[:, 0]
+        v -= np.matmul(first, seen, out=vw[:, None, :])[:, 0]
         second = v[:, None, :] @ seen_proj
-        v -= (second @ seen)[:, 0]
+        v -= np.matmul(second, seen, out=vw[:, None, :])[:, 0]
         coefs[i, :, :i] = (first + second)[:, 0]
         coefs[i, :, i] = 1.0
-        vw = v * weights
+        np.multiply(v, weights, out=vw)
         post = (v[:, None, :] @ vw[:, :, None])[:, 0, 0]
         # <= so that a candidate that is zero at every node (0 <= 0) is
         # dropped too, rather than kept with a zero norm.
@@ -94,14 +116,8 @@ def orthogonalize(
             post[dropped] = 1.0
             kept[i, dropped] = False
         norms[i] = post
-        np.divide(vw, post[:, None], out=projector[i])
-    return BasisStack(
-        values=values.transpose(1, 0, 2),
-        projector=projector.transpose(1, 2, 0),
-        squared_norms=norms.T,
-        kept=kept.T,
-        coefficients=coefs.transpose(1, 0, 2),
-    )
+        vw /= post[:, None]
+    return basis
 
 
 def _graded_lex_exponents(dimension: int, degree: int) -> list[tuple[int, ...]]:

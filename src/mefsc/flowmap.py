@@ -15,16 +15,19 @@ class ModelSpec:
     """A stochastic ODE system with analytic time-derivative chains.
 
     ``rhs(t, nodes, state, *, out=None)`` maps an (n, Q) state sampled at
-    the Q parameter nodes to its time derivative, also (n, Q). Following
-    numpy's ``out=`` convention, it writes its rows in place into ``out``
-    (a fresh array when ``out`` is None) and returns ``out``; ``out`` must
-    not share memory with ``state``. ``derivative_chain(t, nodes, state,
-    order)`` supplies higher derivatives: for a scalar-unknown system written
-    in companion form (``companion=True``) it returns a (1, Q) array holding
-    the order-th time derivative of the highest-derivative component (order 0
-    coincides with the last row of ``rhs``); for a general first-order system
-    it returns the order-th derivative of ``rhs`` itself, shape (n, Q). Both
-    must be pure: identical arguments give bit-identical results.
+    the Q parameter nodes to its time derivative, also (n, Q).
+    ``derivative_chain(t, nodes, state, order, *, out=None)`` supplies the
+    higher derivatives, every level from 0 to ``order`` in one call,
+    level-major. For a scalar-unknown system written in companion form
+    (``companion=True``) level j is one row, the j-th time derivative of the
+    highest-derivative component (level 0 coincides with the last row of
+    ``rhs``), so the chain is (order+1, Q); for a general first-order system
+    level j is the n rows of the j-th derivative of ``rhs`` itself, so the
+    chain is ((order+1)*n, Q); each level has the bits it has as the last
+    level of a shorter chain. Following numpy's ``out=`` convention, both
+    write into ``out`` (a fresh array when None), which must not share
+    memory with ``state``, and return it. Both must be pure: identical
+    arguments give bit-identical results.
 
     ``initial_state(nodes)`` evaluates the initial condition at the nodes.
     ``max_enrichment`` caps how many derivative levels the chain supports.
@@ -37,7 +40,7 @@ class ModelSpec:
     companion: bool
     component_names: tuple[str, ...]
     rhs: Callable[..., np.ndarray]
-    derivative_chain: Callable[[float, np.ndarray, np.ndarray, int], np.ndarray]
+    derivative_chain: Callable[..., np.ndarray]
     initial_state: Callable[[np.ndarray], np.ndarray]
 
 
@@ -57,9 +60,9 @@ def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> Non
     The rows are the state components, then their time derivatives at the
     current instant, derivative-major (for systems: all components of the
     first derivative, then all of the second, ...), cut at ``truncation``
-    rows. For companion-form models each level contributes the single
-    genuinely new scalar derivative. The constant germ is not included;
-    basis construction prepends it.
+    rows, from one chain call. For companion-form models each level
+    contributes the single genuinely new scalar derivative. The constant
+    germ is not included; basis construction prepends it.
 
     ``state`` is (n, N) at the N rows of ``nodes`` and ``out`` is
     (truncation, N). Models are pointwise in the nodes, so N may stack the
@@ -67,14 +70,13 @@ def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> Non
     :func:`check_truncation`).
     """
     n = model.state_dim
-    truncation = out.shape[0]
+    germs = out.shape[0] - n
     out[:n] = state
-    filled = n
-    level = 0
-    while filled < truncation:
-        block = model.derivative_chain(t, nodes, state, level)
-        take = min(block.shape[0], truncation - filled)
-        out[filled : filled + take] = block[:take]
-        filled += take
-        level += 1
+    if germs > 0:
+        per_level = 1 if model.companion else n
+        order = -(-germs // per_level) - 1
+        if (order + 1) * per_level == germs:
+            model.derivative_chain(t, nodes, state, order, out=out[n:])
+        else:
+            out[n:] = model.derivative_chain(t, nodes, state, order)[:germs]
 

@@ -22,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .basis import BasisStack, orthogonalize, warmstart_candidates
+from .basis import BasisStack, empty_stack, orthogonalize, warmstart_candidates
 from .flowmap import ModelSpec, check_truncation, fill_germs
 from .measures import Distribution, build_quadrature
 
@@ -126,11 +126,6 @@ class LocalSeries:
     max_orthogonality_residual: float | None
 
 
-def _element_rows(rows: np.ndarray, n_el: int) -> np.ndarray:
-    """(k, E*Q) rows over the stacked nodes as an (E, k, Q) view."""
-    return rows.reshape(rows.shape[0], n_el, -1).transpose(1, 0, 2)
-
-
 def _raise_if_not_finite(per_element, message: str, t: float, ids) -> None:
     """Raise for the lowest element id whose slice of an (E, ...) array is not finite.
 
@@ -142,21 +137,18 @@ def _raise_if_not_finite(per_element, message: str, t: float, ids) -> None:
         raise NumericalBlowup(message, t, int(ids[bad].min()))
 
 
-def _evaluate(modes: np.ndarray, basis: BasisStack) -> np.ndarray:
-    """(n, E*Q) node rows of the state held as (E, n, m) modes."""
-    return (modes @ basis.values).transpose(1, 0, 2).reshape(modes.shape[1], -1)
+def _rebuild(model, t, nodes, rows, weights, flow: BasisStack) -> BasisStack:
+    """Rebuild the basis in ``flow`` from the germs of (n, E*Q) state ``rows``,
+    writing its candidates (the constant, then the germs) into ``flow.values``."""
+    values = flow.values.transpose(1, 0, 2)
+    values[0] = 1.0
+    fill_germs(model, t, nodes, rows, values[1:].reshape(len(values) - 1, -1))
+    return orthogonalize(flow.values, weights, work=flow)
 
 
-def _candidates(model, t, state_rows, nodes, truncation, n_el) -> np.ndarray:
-    """(E, truncation+1, Q) germ candidates: the constant, then the germs."""
-    cands = np.empty((truncation + 1, state_rows.shape[1]))
-    cands[0] = 1.0
-    fill_germs(model, t, nodes, state_rows, cands[1:])
-    return _element_rows(cands, n_el)
-
-
-def _transfer(values, basis: BasisStack, t, ids, events) -> np.ndarray:
-    """Modes of (E, n, Q) state values on a basis just built from them.
+def _transfer(values, basis: BasisStack, t, ids, events, modes) -> None:
+    """Write into ``modes`` the modes of (E, n, Q) state values on a basis
+    just built from them.
 
     State component l is germ candidate l+1, so its modes are that
     candidate's Gram-Schmidt coefficients: mode 0 is the mean, mode l+1 is
@@ -164,38 +156,65 @@ def _transfer(values, basis: BasisStack, t, ids, events) -> np.ndarray:
     element that dropped a state germ falls back to projection.
     """
     n = values.shape[1]
-    modes = basis.coefficients[:, 1 : n + 1].copy()
+    modes[...] = basis.coefficients[:, 1 : n + 1]
     lost = ~basis.kept[:, 1 : n + 1].all(axis=1)
     for e in np.flatnonzero(lost):
         modes[e] = values[e] @ basis.projector[e]
-        if events is not None:
-            events[e].append(FallbackEvent(t, int(ids[e]), "state germ dropped"))
-    return modes
+        events[e].append(FallbackEvent(t, int(ids[e]), "state germ dropped"))
 
 
-def _rhs(t, modes, basis: BasisStack, model, nodes, ids) -> np.ndarray:
-    n_el = len(ids)
-    state = _evaluate(modes, basis)
-    if not isfinite(float(state.sum())):
-        per_element = _element_rows(state, n_el)
-        _raise_if_not_finite(per_element, "non-finite state values", t, ids)
-    if model.companion:
-        top = model.derivative_chain(t, nodes, state, 0)
-        top_modes = _element_rows(top, n_el) @ basis.projector
-        return np.concatenate((modes[:, 1:], top_modes), axis=1)
-    return _element_rows(model.rhs(t, nodes, state), n_el) @ basis.projector
+def _galerkin_rhs(model, basis: BasisStack, ids, state: np.ndarray):
+    """``rhs(t, nodes, modes, *, out)`` of (E, n, m) modes on ``basis``.
+
+    It evaluates the modes into ``state``, (n, E, Q) and read by the model as
+    (n, E*Q) rows, and writes the modes of the model's derivative into
+    ``out``; a companion model's shifted components keep their modes.
+    """
+    rows = state.reshape(state.shape[0], -1)
+    at_nodes = state.transpose(1, 0, 2)
+    derivs = np.empty_like(state[:1] if model.companion else state)
+    derivs_rows = derivs.reshape(len(derivs), -1)
+
+    def rhs(t, nodes, modes, *, out):
+        np.matmul(modes, basis.values, out=at_nodes)
+        if not isfinite(float(rows.sum())):
+            _raise_if_not_finite(at_nodes, "non-finite state values", t, ids)
+        if model.companion:
+            model.derivative_chain(t, nodes, rows, 0, out=derivs_rows)
+            out[:, :-1] = modes[:, 1:]
+            out = out[:, -1:]
+        else:
+            model.rhs(t, nodes, rows, out=derivs_rows)
+        np.matmul(derivs.transpose(1, 0, 2), basis.projector, out=out)
+
+    return rhs
 
 
-def _rk4(t, modes, basis: BasisStack, model, nodes, dt, ids) -> np.ndarray:
+def rk4_step(rhs, t: float, dt: float, nodes, y: np.ndarray, work) -> None:
+    """One classical RK4 step of y' = rhs(t, nodes, y) in place, with ``rhs``
+    called as ``ModelSpec.rhs`` and ``work`` five arrays shaped like ``y``.
+
+    The arithmetic is that of y + (dt/6) (k1 + 2 (k2 + k3) + k4) with stage
+    points y + h k, operation for operation: the bits of fresh arrays.
+    """
+    k1, k2, k3, k4, stage = work
     half = 0.5 * dt
-    k1 = _rhs(t, modes, basis, model, nodes, ids)
-    k2 = _rhs(t + half, modes + half * k1, basis, model, nodes, ids)
-    k3 = _rhs(t + half, modes + half * k2, basis, model, nodes, ids)
-    k4 = _rhs(t + dt, modes + dt * k3, basis, model, nodes, ids)
-    out = modes + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not isfinite(float(out.sum())):
-        _raise_if_not_finite(out, "non-finite modes after step", t + dt, ids)
-    return out
+    rhs(t, nodes, y, out=k1)
+    np.multiply(k1, half, out=stage)
+    stage += y
+    rhs(t + half, nodes, stage, out=k2)
+    np.multiply(k2, half, out=stage)
+    stage += y
+    rhs(t + half, nodes, stage, out=k3)
+    np.multiply(k3, dt, out=stage)
+    stage += y
+    rhs(t + dt, nodes, stage, out=k4)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    y += k2
 
 
 def _local_variance(modes: np.ndarray, basis: BasisStack) -> np.ndarray:
@@ -263,18 +282,26 @@ def run_elements(
     n = model.state_dim
     n_steps = step_count(duration, dt)
     times = np.arange(n_steps + 1) * dt
-    state = model.initial_state(nodes)
+    # The batch's workspace, reused at every step: the state at the nodes,
+    # (n, E, Q) and (n, E*Q) rows for the models, and the flow-driven basis.
+    state = np.empty((n, n_el, weights.shape[1]))
+    rows = state.reshape(n, -1)
+    rows[...] = model.initial_state(nodes)
+    at_nodes = state.transpose(1, 0, 2)
+    flow = empty_stack(n_el, truncation + 1, weights.shape[1])
 
     warm_steps = 0
     if warmstart is not None and warmstart.duration > 0:
-        cands = np.stack([warmstart_candidates(g, warmstart.degree) for g in grids])
-        warm_steps = step_count(warmstart.duration, dt, "warm-start duration")
-        warm_steps = min(n_steps, warm_steps)
+        warm_steps = min(n_steps, step_count(warmstart.duration, dt, "warm-start duration"))
+        basis = orthogonalize(
+            np.stack([warmstart_candidates(g, warmstart.degree) for g in grids]), weights
+        )
     else:
-        cands = _candidates(model, 0.0, state, nodes, truncation, n_el)
-    basis = orthogonalize(cands, weights)
-    del cands, grids
-    modes = _element_rows(state, n_el) @ basis.projector
+        basis = _rebuild(model, 0.0, nodes, rows, weights, flow)
+    del grids
+    modes, *work = np.empty((6, n_el, n, basis.values.shape[1]))
+    rhs = _galerkin_rhs(model, basis, ids, state)
+    np.matmul(at_nodes, basis.projector, out=modes)
 
     width = n_steps + 1
     if reduce is not None:
@@ -301,22 +328,24 @@ def run_elements(
     t = 0.0
     for i in range(n_steps):
         if i >= rebuild_from:
-            state = _evaluate(modes, basis)
-            basis = orthogonalize(
-                _candidates(model, t, state, nodes, truncation, n_el), weights
-            )
+            np.matmul(modes, basis.values, out=at_nodes)
+            basis = _rebuild(model, t, nodes, rows, weights, flow)
             if i == warm_steps and warm_steps:
                 alone = basis.kept.sum(axis=1) == 1
                 if alone.any():
                     raise NumericalBlowup(
                         "all germs degenerate after warm start", t, int(ids[alone].min())
                     )
-            modes = _transfer(_element_rows(state, n_el), basis, t, ids, events)
+                modes, *work = np.empty((6, n_el, n, truncation + 1))
+                rhs = _galerkin_rhs(model, basis, ids, state)
+            _transfer(at_nodes, basis, t, ids, events, modes)
             if audit_orthogonality:
                 np.maximum(
                     max_residual, _max_offdiag_residual(basis, weights), out=max_residual
                 )
-        modes = _rk4(t, modes, basis, model, nodes, dt, ids)
+        rk4_step(rhs, t, dt, nodes, modes, work)
+        if not isfinite(float(modes.sum())):
+            _raise_if_not_finite(modes, "non-finite modes after step", t + dt, ids)
         t = times[i + 1]
         record(i + 1, modes, basis)
 

@@ -131,15 +131,13 @@ class Distribution:
         width = self.upper - self.lower
         if self.kind is DistributionKind.UNIFORM:
             return np.full_like(x, 1.0 / width)
-        if self.kind is DistributionKind.BETA:
-            from scipy import special
+        from scipy import special
 
+        if self.kind is DistributionKind.BETA:
             a, b = self.shape_a, self.shape_b
             z = (x - self.lower) / width
             return z ** (a - 1.0) * (1.0 - z) ** (b - 1.0) / (special.beta(a, b) * width)
         if self.kind is DistributionKind.TRUNCATED_GAMMA:
-            from scipy import special
-
             shape, rate = self.shape_a, self.shape_b
             y = rate * (x - self.lower)
             raw = rate * y ** (shape - 1.0) * np.exp(-y) / special.gamma(shape)
@@ -155,20 +153,16 @@ class Distribution:
         x = np.asarray(x, dtype=float)
         width = self.upper - self.lower
         if self.kind is DistributionKind.UNIFORM:
-            out = (x - self.lower) / width
-        elif self.kind is DistributionKind.BETA:
-            from scipy import special
+            return np.clip((x - self.lower) / width, 0.0, 1.0)
+        from scipy import special
 
+        if self.kind is DistributionKind.BETA:
             z = np.clip((x - self.lower) / width, 0.0, 1.0)
             out = special.betainc(self.shape_a, self.shape_b, z)
         elif self.kind is DistributionKind.TRUNCATED_GAMMA:
-            from scipy import special
-
             y = self.shape_b * np.clip(x - self.lower, 0.0, None)
             out = special.gammainc(self.shape_a, y) / self._gamma_norm()
         else:
-            from scipy import special
-
             mean, std = self.shape_a, self.shape_b
             lo_cdf, hi_cdf = self._normal_cdf_ends()
             out = (special.ndtr((x - mean) / std) - lo_cdf) / (hi_cdf - lo_cdf)
@@ -180,17 +174,13 @@ class Distribution:
         width = self.upper - self.lower
         if self.kind is DistributionKind.UNIFORM:
             return self.lower + width * u
-        if self.kind is DistributionKind.BETA:
-            from scipy import special
-
-            return self.lower + width * special.betaincinv(self.shape_a, self.shape_b, u)
-        if self.kind is DistributionKind.TRUNCATED_GAMMA:
-            from scipy import special
-
-            y = special.gammaincinv(self.shape_a, u * self._gamma_norm())
-            return self.lower + y / self.shape_b
         from scipy import special
 
+        if self.kind is DistributionKind.BETA:
+            return self.lower + width * special.betaincinv(self.shape_a, self.shape_b, u)
+        if self.kind is DistributionKind.TRUNCATED_GAMMA:
+            y = special.gammaincinv(self.shape_a, u * self._gamma_norm())
+            return self.lower + y / self.shape_b
         mean, std = self.shape_a, self.shape_b
         lo_cdf, hi_cdf = self._normal_cdf_ends()
         return mean + std * special.ndtri(lo_cdf + u * (hi_cdf - lo_cdf))

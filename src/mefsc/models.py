@@ -29,12 +29,13 @@ def _osc_rhs(t, nodes, state, *, out=None):
     return out
 
 
-def _osc_chain(t, nodes, state, order):
-    kbar = nodes[:, 0] / _OSC_MASS
+def _osc_chain(t, nodes, state, order, *, out=None):
+    if out is None:
+        out = np.empty((order + 1, state.shape[1]))
     d0, d1 = state[0], state[1]
-    for _ in range(order + 1):
-        d0, d1 = d1, -kbar * d0
-    return d1[None, :]
+    for level in out:
+        d0, d1 = d1, np.multiply(-(nodes[:, 0] / _OSC_MASS), d0, out=level)
+    return out
 
 
 def _osc_init(nodes):
@@ -66,12 +67,13 @@ def _third_rhs(t, nodes, state, *, out=None):
     return out
 
 
-def _third_chain(t, nodes, state, order):
-    k = nodes[:, 0]
+def _third_chain(t, nodes, state, order, *, out=None):
+    if out is None:
+        out = np.empty((order + 1, state.shape[1]))
     d0, d1, d2 = state[0], state[1], state[2]
-    for _ in range(order + 1):
-        d0, d1, d2 = d1, d2, -(0.5 * d2 + k * d1 + d0)
-    return d2[None, :]
+    for level in out:
+        d0, d1, d2 = d1, d2, np.negative(0.5 * d2 + nodes[:, 0] * d1 + d0, out=level)
+    return out
 
 
 def _third_init(nodes):
@@ -109,9 +111,11 @@ def _vdp_rhs(t, nodes, state, *, out=None):
     return out
 
 
-def _vdp_chain(t, nodes, state, order):
+def _vdp_chain(t, nodes, state, order, *, out=None):
     # D^{m+2} u = (c/m) sum_i C(m,i) g_i D^{m-i+1} u - (k/m) D^m u, where
     # g_i is the i-th derivative of (1 - rho u^2), itself a Leibniz sum.
+    if out is None:
+        out = np.empty((order + 1, state.shape[1]))
     c = nodes[:, 0] / _VDP_MASS
     k = nodes[:, 1] / _VDP_MASS
     d = [state[0], state[1]]
@@ -120,8 +124,8 @@ def _vdp_chain(t, nodes, state, order):
         sq = sum(comb(m, r) * d[r] * d[m - r] for r in range(m + 1))
         g.append(1.0 - _VDP_RHO * sq if m == 0 else -_VDP_RHO * sq)
         drive = sum(comb(m, i) * g[i] * d[m - i + 1] for i in range(m + 1))
-        d.append(c * drive - k * d[m])
-    return d[-1][None, :]
+        d.append(np.subtract(c * drive, k * d[m], out=out[m]))
+    return out
 
 
 def _vdp_init(nodes):
@@ -142,32 +146,44 @@ vanderpol = ModelSpec(
 )
 
 
-def _ko_chain(t, nodes, state, order):
+def _ko_chain(t, nodes, state, order, *, out=None):
     # Leibniz on the quadratic couplings: with a=D^i u1, b=D^i u2, e=D^i u3,
     #   a_{j+1} =  sum_i C(j,i) a_i e_{j-i}
     #   b_{j+1} = -sum_i C(j,i) b_i e_{j-i}
     #   e_{j+1} =  sum_i C(j,i) (b_i b_{j-i} - a_i a_{j-i})
-    a = [state[0]]
-    b = [state[1]]
-    e = [state[2]]
+    # Each sum is accumulated in place from 0, term by term, as sum() adds
+    # fresh arrays; two scratch rows hold the terms.
+    if out is None:
+        out = np.empty((3 * (order + 1), state.shape[1]))
+    term, other = np.empty((2, state.shape[1]))
+    d = [state, *np.split(out, order + 1)]
     for j in range(order + 1):
-        a.append(sum(comb(j, i) * a[i] * e[j - i] for i in range(j + 1)))
-        b.append(-sum(comb(j, i) * b[i] * e[j - i] for i in range(j + 1)))
-        e.append(
-            sum(comb(j, i) * (b[i] * b[j - i] - a[i] * a[j - i]) for i in range(j + 1))
-        )
-    return np.stack([a[-1], b[-1], e[-1]])
+        sums = d[j + 1]
+        sums.fill(0.0)
+        for i in range(j + 1):
+            c = comb(j, i)
+            (a, b, e), (a_k, b_k, e_k) = d[i], d[j - i]
+            sums[0] += np.multiply(np.multiply(c, a, out=term), e_k, out=term)
+            sums[1] += np.multiply(np.multiply(c, b, out=term), e_k, out=term)
+            np.multiply(b, b_k, out=term)
+            term -= np.multiply(a, a_k, out=other)
+            sums[2] += np.multiply(term, c, out=term)
+        np.negative(sums[1], out=sums[1])
+    return out
 
 
 def _ko_rhs(t, nodes, state, *, out=None):
     # Order 0 of _ko_chain, without the Leibniz sums (whose 0 + x turns a
-    # -0.0 product into +0.0; the values are otherwise the same).
+    # -0.0 product into +0.0). Row 0 holds a*a until row 2 is formed.
     if out is None:
         out = np.empty_like(state)
     a, b, e = state[0], state[1], state[2]
+    np.multiply(a, a, out=out[0])
+    np.multiply(b, b, out=out[2])
+    out[2] -= out[0]
     np.multiply(a, e, out=out[0])
-    np.negative(b * e, out=out[1])
-    np.subtract(b * b, a * a, out=out[2])
+    np.multiply(b, e, out=out[1])
+    np.negative(out[1], out=out[1])
     return out
 
 

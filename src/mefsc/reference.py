@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregate import MomentSeries, fork_reduce
 from .flowmap import ModelSpec
-from .fsc_element import NumericalBlowup, step_count
+from .fsc_element import NumericalBlowup, rk4_step, step_count
 from .measures import Distribution, DistributionKind, build_quadrature, gauss_legendre
 
 # Quantile at which the untruncated gamma reference window is cut.
@@ -114,12 +114,9 @@ def _full_domain_grid(distributions, points_per_axis):
 
 
 def _rk4_chunks(nodes, states: np.ndarray) -> list[tuple]:
-    """Views that :func:`_pointwise_rk4` steps ``states`` through, in place.
-
-    The nodes are independent, so they are stepped in chunks of at most
-    _RK4_CHUNK. Each chunk is (nodes, states, k1, k2, k3, k4, stage): views
-    of the caller's arrays and of one work array allocated here, which all
-    chunks share.
+    """Chunks ``(nodes, states, work)`` of at most _RK4_CHUNK independent
+    nodes, for :func:`rk4_step` to step in place: views of the caller's
+    arrays and of one work array allocated here, which all chunks share.
     """
     n, size = states.shape
     work = np.empty((5, n, min(size, _RK4_CHUNK)))
@@ -127,38 +124,10 @@ def _rk4_chunks(nodes, states: np.ndarray) -> list[tuple]:
         (
             nodes[lo : lo + _RK4_CHUNK],
             states[:, lo : lo + _RK4_CHUNK],
-            *work[:, :, : min(_RK4_CHUNK, size - lo)],
+            tuple(work[:, :, : min(_RK4_CHUNK, size - lo)]),
         )
         for lo in range(0, size, _RK4_CHUNK)
     ]
-
-
-def _pointwise_rk4(model: ModelSpec, chunks, t, dt) -> None:
-    """One classical RK4 step of every node's ODE, in place.
-
-    ``chunks`` come from :func:`_rk4_chunks`. The arithmetic is that of
-    states + (dt/6) (k1 + 2 (k2 + k3) + k4) with each stage at
-    states + h k, operation for operation, so in-place updates give the
-    same bits as fresh arrays would.
-    """
-    half = 0.5 * dt
-    for nodes, states, k1, k2, k3, k4, stage in chunks:
-        model.rhs(t, nodes, states, out=k1)
-        np.multiply(k1, half, out=stage)
-        stage += states
-        model.rhs(t + half, nodes, stage, out=k2)
-        np.multiply(k2, half, out=stage)
-        stage += states
-        model.rhs(t + half, nodes, stage, out=k3)
-        np.multiply(k3, dt, out=stage)
-        stage += states
-        model.rhs(t + dt, nodes, stage, out=k4)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= dt / 6.0
-        states += k2
 
 
 def check_quasi_exact_grid(dimension: int, points_per_axis: int = QUASI_EXACT_POINTS):
@@ -218,7 +187,8 @@ def quasi_exact_moments(
         sub = dt / refinement
         t = times[i]
         for k in range(refinement):
-            _pointwise_rk4(model, chunks, t + k * sub, sub)
+            for at, chunk, work in chunks:
+                rk4_step(model.rhs, t + k * sub, sub, at, chunk, work)
         record(i + 1)
     return MomentSeries(
         times=times, mean=mean, variance=var, component_names=model.component_names
@@ -236,7 +206,8 @@ def _monte_carlo_batch(model: ModelSpec, params: np.ndarray, times: np.ndarray, 
     batch_m2 = np.empty((n, times.size))
     for i in range(times.size):
         if i:
-            _pointwise_rk4(model, chunks, times[i - 1], dt)
+            for at, chunk, work in chunks:
+                rk4_step(model.rhs, times[i - 1], dt, at, chunk, work)
         bm = states.mean(axis=1)
         np.subtract(states, bm[:, None], out=deviation)
         deviation *= deviation
@@ -301,6 +272,7 @@ def monte_carlo_moments(
             params = np.column_stack(
                 [dist.ppf(uniforms[:, k]) for k, dist in enumerate(distributions)]
             )
+            del uniforms
             b, batch_mean, batch_m2 = _monte_carlo_batch(model, params, times, dt)
             outlet(j, np.array([b]), batch_mean[None], batch_m2[None])
 
@@ -313,6 +285,10 @@ def monte_carlo_moments(
             m2 += batch_m2 + delta * delta * (count * b / total)
             count = total
 
+    # Load what each law's ppf needs (scipy for most) here, once, rather
+    # than in every forked worker.
+    for dist in distributions:
+        dist.ppf(np.empty(0))
     fork_reduce([partial(worker, w) for w in range(workers)], merge)
     variance = m2 / (count - 1) if count > 1 else np.zeros_like(m2)
     return MomentSeries(

@@ -5,7 +5,7 @@ import pytest
 
 from mefsc import MODELS, Distribution, build_quadrature
 from mefsc.basis import orthogonalize, warmstart_candidates
-from mefsc.fsc_element import _rk4
+from stepping import galerkin_rk4
 
 
 @pytest.fixture(scope="session")
@@ -23,5 +23,5 @@ def warm_oscillator():
     modes = osc.initial_state(grid.nodes)[None] @ basis.projector
     ids = np.zeros(1, dtype=int)
     for i in range(1000):
-        modes = _rk4(i * 1e-3, modes, basis, osc, grid.nodes, 1e-3, ids)
+        modes = galerkin_rk4(i * 1e-3, modes, basis, osc, grid.nodes, 1e-3, ids)
     return grid, basis, modes

@@ -27,7 +27,8 @@ from mefsc import (
 from mefsc.aggregate import _total_moments
 from mefsc.basis import orthogonalize
 from mefsc.bench_cli import parse_config, run_and_emit
-from mefsc.fsc_element import _candidates, _local_variance, _rk4, _transfer
+from mefsc.fsc_element import _local_variance
+from stepping import galerkin_rk4, germ_candidates, transfer
 
 P1_LAW = (Distribution.uniform(340.0, 460.0),)
 P2_LAW = (Distribution.uniform(2.0, 3.0),)
@@ -212,9 +213,9 @@ def test_criterion_6_transfer_exactness_over_1000_steps(warm_oscillator):
     for _ in range(1000):
         before_mean, before_var = modes[0, :, 0], _local_variance(modes, basis)[0]
         values = modes @ basis.values
-        cands = _candidates(model, t, values[0], grid.nodes, 4, 1)
+        cands = germ_candidates(model, t, values[0], grid.nodes, 4)
         basis = orthogonalize(cands, grid.weights[None])
-        modes = _transfer(values, basis, t, ids, None)
+        modes = transfer(values, basis, t, ids, None)
         proj_modes = values @ basis.projector
         worst_gap = max(worst_gap, float(np.max(np.abs(modes - proj_modes))))
         after_mean, after_var = modes[0, :, 0], _local_variance(modes, basis)[0]
@@ -226,7 +227,7 @@ def test_criterion_6_transfer_exactness_over_1000_steps(warm_oscillator):
             worst_var_drift,
             float(np.max(np.abs(after_var - before_var) / before_var)),
         )
-        modes = _rk4(t, modes, basis, model, grid.nodes, 1e-3, ids)
+        modes = galerkin_rk4(t, modes, basis, model, grid.nodes, 1e-3, ids)
         t += 1e-3
     ok = worst_gap <= 1e-10 and worst_mean_drift <= 1e-10 and worst_var_drift <= 1e-10
     line = (

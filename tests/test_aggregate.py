@@ -281,15 +281,20 @@ def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
     # first block. The parent must kill the blocked worker and reap it rather
     # than wait for it to finish sending, or the solve never returns.
     parent = os.getpid()
-    rk4 = fsc_element._rk4
+    galerkin_rhs = fsc_element._galerkin_rhs
 
-    def stalling_rk4(t, modes, basis, model, nodes, dt, ids):
-        if os.getpid() == parent and t >= 100.0:
-            time.sleep(0.5)
-            raise NumericalBlowup("stalled", t, int(ids[0]))
-        return rk4(t, modes, basis, model, nodes, dt, ids)
+    def stalling_galerkin_rhs(model, basis, ids, state):
+        rhs = galerkin_rhs(model, basis, ids, state)
 
-    monkeypatch.setattr(fsc_element, "_rk4", stalling_rk4)
+        def stalling_rhs(t, nodes, modes, *, out):
+            if os.getpid() == parent and t >= 100.0:
+                time.sleep(0.5)
+                raise NumericalBlowup("stalled", t, int(ids[0]))
+            rhs(t, nodes, modes, out=out)
+
+        return stalling_rhs
+
+    monkeypatch.setattr(fsc_element, "_galerkin_rhs", stalling_galerkin_rhs)
     config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
     with time_limit(60):
         with pytest.raises(NumericalBlowup, match="stalled") as info:
@@ -302,14 +307,19 @@ def test_worker_killed_mid_solve_is_reported(monkeypatch):
     # The worker's batch kills itself at t = 50; the parent's range runs on
     # to the end, and the solve then reports how the worker died.
     parent = os.getpid()
-    rk4 = fsc_element._rk4
+    galerkin_rhs = fsc_element._galerkin_rhs
 
-    def dying_rk4(t, modes, basis, model, nodes, dt, ids):
-        if os.getpid() != parent and t >= 50.0:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return rk4(t, modes, basis, model, nodes, dt, ids)
+    def dying_galerkin_rhs(model, basis, ids, state):
+        rhs = galerkin_rhs(model, basis, ids, state)
 
-    monkeypatch.setattr(fsc_element, "_rk4", dying_rk4)
+        def dying_rhs(t, nodes, modes, *, out):
+            if os.getpid() != parent and t >= 50.0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            rhs(t, nodes, modes, out=out)
+
+        return dying_rhs
+
+    monkeypatch.setattr(fsc_element, "_galerkin_rhs", dying_galerkin_rhs)
     config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
     with time_limit(60):
         with pytest.raises(RuntimeError, match=r"died \(exit code -9\)"):

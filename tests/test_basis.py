@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import legval
 from scipy.linalg import solve_triangular
 
 from mefsc import Distribution, build_quadrature
-from mefsc.basis import orthogonalize, warmstart_candidates
+from mefsc.basis import empty_stack, orthogonalize, warmstart_candidates
 
 
 def unit_grid(points=10):
@@ -205,6 +205,39 @@ def test_gram_schmidt_deterministic():
     b = orthogonalize(cands, grid.weights[None])
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.squared_norms, b.squared_norms)
+
+
+def test_reused_workspace_gives_the_bits_of_a_fresh_call():
+    # The solver rebuilds every basis of a batch in one workspace. A set with
+    # masked rows (a dependent germ in element 1, a zero one in element 2)
+    # followed by a set with none must leave nothing stale behind: kept
+    # flags, coefficients and norms are those of a fresh call.
+    grid = unit_grid()
+    x = grid.nodes[:, 0]
+    weights = np.stack([grid.weights] * 3)
+    rng = np.random.default_rng(11)
+
+    def random_set():
+        polys = rng.uniform(-2.0, 2.0, size=(3, 4, 5))
+        cands = np.ones((3, 5, x.size))
+        for e in range(3):
+            for i in range(4):
+                cands[e, i + 1] = np.polynomial.Polynomial(polys[e, i])(x)
+        return cands
+
+    masked = random_set()
+    masked[1, 3] = 2.0 * masked[1, 2]
+    masked[2, 4] = 0.0
+    work = empty_stack(3, 5, x.size)
+    for cands in (masked, random_set(), masked):
+        fresh = orthogonalize(cands, weights)
+        work.values[...] = cands
+        built = orthogonalize(work.values, weights, work=work)
+        assert built is work
+        for name in ("values", "projector", "squared_norms", "kept", "coefficients"):
+            assert np.array_equal(getattr(built, name), getattr(fresh, name)), name
+    kept = orthogonalize(masked, weights).kept
+    assert kept[0].all() and not kept[1, 3] and not kept[2, 4]
 
 
 def test_random_candidates_yield_orthogonal_sets():

@@ -1,5 +1,7 @@
 """Germ construction and the truncated Taylor flow map."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,86 @@ def test_rhs_writes_into_out(model, centers):
     assert np.array_equal(np.signbit(out), np.signbit(fresh))
 
 
+@pytest.mark.parametrize("model,centers", [
+    (OSC, (400.0,)),
+    (THIRD, (2.5,)),
+    (VDP, (300.0, 400.0)),
+    (KO, (0.3, -0.4, 0.6)),
+])
+def test_chain_levels_match_shorter_chains(model, centers):
+    # One call returns every level, level-major, each with the bits it has
+    # as the last level of a chain that stops there, and writes into out.
+    rng = np.random.default_rng(8)
+    nodes = np.array(centers) * rng.uniform(0.9, 1.1, size=(7, len(centers)))
+    state = rng.uniform(-0.5, 0.5, size=(model.state_dim, 7))
+    rows = 1 if model.companion else model.state_dim
+    for k in range(5):
+        chain = model.derivative_chain(0.0, nodes, state, k)
+        assert chain.shape == ((k + 1) * rows, 7)
+        out = np.full_like(chain, np.nan)
+        assert model.derivative_chain(0.0, nodes, state, k, out=out) is out
+        assert np.array_equal(out, chain)
+        for j in range(k + 1):
+            alone = model.derivative_chain(0.0, nodes, state, j)
+            assert np.array_equal(chain[j * rows : (j + 1) * rows], alone[-rows:])
+
+
+# The chains as they were before they wrote into ``out``: fresh arrays at
+# every operation, and Leibniz sums through sum(). The in-place chains must
+# reproduce every level of them bit for bit, signed zeros included.
+def _allocating_levels(model, nodes, s, order):
+    levels = []
+    if model is OSC:
+        kbar = nodes[:, 0] / 100.0
+        d0, d1 = s[0], s[1]
+        for _ in range(order + 1):
+            d0, d1 = d1, -kbar * d0
+            levels.append(d1)
+    elif model is THIRD:
+        k = nodes[:, 0]
+        d0, d1, d2 = s[0], s[1], s[2]
+        for _ in range(order + 1):
+            d0, d1, d2 = d1, d2, -(0.5 * d2 + k * d1 + d0)
+            levels.append(d2)
+    elif model is VDP:
+        c, k = nodes[:, 0] / 100.0, nodes[:, 1] / 100.0
+        d, g = [s[0], s[1]], []
+        for m in range(order + 1):
+            sq = sum(comb(m, r) * d[r] * d[m - r] for r in range(m + 1))
+            g.append(1.0 - 150.0 * sq if m == 0 else -150.0 * sq)
+            drive = sum(comb(m, i) * g[i] * d[m - i + 1] for i in range(m + 1))
+            d.append(c * drive - k * d[m])
+            levels.append(d[-1])
+    else:
+        a, b, e = [s[0]], [s[1]], [s[2]]
+        for j in range(order + 1):
+            a.append(sum(comb(j, i) * a[i] * e[j - i] for i in range(j + 1)))
+            b.append(-sum(comb(j, i) * b[i] * e[j - i] for i in range(j + 1)))
+            e.append(
+                sum(comb(j, i) * (b[i] * b[j - i] - a[i] * a[j - i]) for i in range(j + 1))
+            )
+            levels += [a[-1], b[-1], e[-1]]
+    return np.stack(levels)
+
+
+@pytest.mark.parametrize("model,centers", [
+    (OSC, (400.0,)),
+    (THIRD, (2.5,)),
+    (VDP, (300.0, 400.0)),
+    (KO, (0.3, -0.4, 0.6)),
+])
+def test_chain_matches_the_allocating_chain(model, centers):
+    rng = np.random.default_rng(9)
+    nodes = np.array(centers) * rng.uniform(0.9, 1.1, size=(7, len(centers)))
+    state = rng.uniform(-0.5, 0.5, size=(model.state_dim, 7))
+    state[:, 0] = 0.0
+    for k in range(5):
+        chain = model.derivative_chain(0.0, nodes, state, k)
+        fresh = _allocating_levels(model, nodes, state, k)
+        assert np.array_equal(chain, fresh)
+        assert np.array_equal(np.signbit(chain), np.signbit(fresh))
+
+
 def taylor_propagate(
     model: ModelSpec,
     t: float,
@@ -109,12 +191,11 @@ def taylor_propagate(
         return out
     n = model.state_dim
     factor = 1.0
+    levels = model.derivative_chain(t, nodes, s, order - 1)
     if model.companion:
         # Rows i..n-1 of the state are already derivatives of row 0, so one
         # scalar chain serves every component.
-        chain = [s[i] for i in range(n)]
-        for j in range(order):
-            chain.append(model.derivative_chain(t, nodes, s, j)[0])
+        chain = [s[i] for i in range(n)] + list(levels)
         for m in range(1, order + 1):
             factor *= h / m
             for i in range(n):
@@ -122,7 +203,7 @@ def taylor_propagate(
     else:
         for m in range(1, order + 1):
             factor *= h / m
-            out += factor * model.derivative_chain(t, nodes, s, m - 1)
+            out += factor * levels[(m - 1) * n : m * n]
     return out
 
 

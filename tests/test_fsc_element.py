@@ -18,7 +18,8 @@ from mefsc import (
     run_elements,
 )
 from mefsc.basis import orthogonalize
-from mefsc.fsc_element import _candidates, _local_variance, _rhs, _rk4, _transfer
+from mefsc.fsc_element import _local_variance
+from stepping import galerkin_rhs, galerkin_rk4, germ_candidates, transfer
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -41,9 +42,9 @@ def test_transfer_structure_against_new_basis(warm_oscillator):
     grid, basis, modes = warm_oscillator
     values = modes @ basis.values
     new_basis = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
-    new = _transfer(values, new_basis, 1.0, ONE, None)[0]
+    new = transfer(values, new_basis, 1.0, ONE, None)[0]
     means = values[0] @ grid.weights
     assert np.allclose(new[:, 0], means, rtol=0, atol=1e-14)
     assert new[0, 1] == 1.0
@@ -56,9 +57,9 @@ def test_transfer_matches_projection(warm_oscillator):
     grid, basis, modes = warm_oscillator
     values = modes @ basis.values
     new_basis = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
-    det_modes = _transfer(values, new_basis, 1.0, ONE, None)
+    det_modes = transfer(values, new_basis, 1.0, ONE, None)
     proj_modes = values @ new_basis.projector
     assert np.max(np.abs(det_modes - proj_modes)) < 1e-10
 
@@ -67,9 +68,9 @@ def test_transfer_preserves_moments(warm_oscillator):
     grid, basis, modes = warm_oscillator
     values = modes @ basis.values
     new_basis = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
-    new = _transfer(values, new_basis, 1.0, ONE, None)
+    new = transfer(values, new_basis, 1.0, ONE, None)
     assert np.allclose(new[:, :, 0], modes[:, :, 0], rtol=1e-10, atol=0)
     assert np.allclose(
         _local_variance(new, new_basis),
@@ -87,11 +88,11 @@ def test_transfer_falls_back_when_germ_dropped(warm_oscillator):
     values[0, 1] = 2.0 * values[0, 0]
     values = (values @ basis.projector) @ basis.values
     new_basis = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
     assert not np.all(new_basis.kept[0, 1:3])
     events = []
-    got = _transfer(values, new_basis, 1.0, np.array([3]), [events])
+    got = transfer(values, new_basis, 1.0, np.array([3]), [events])
     assert np.array_equal(got, values @ new_basis.projector)
     assert len(events) == 1
     assert events[0].element_id == 3
@@ -101,7 +102,7 @@ def test_galerkin_rhs_deterministic_node():
     grid = deterministic_grid(400.0)
     basis = orthogonalize(np.ones((1, 1, 1)), grid.weights[None])
     modes = np.array([[[0.05], [0.0]]])
-    out = _rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
+    out = galerkin_rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
     assert out[0, 0] == 0.0
     assert out[1, 0] == -0.2  # -(400/100) * 0.05
 
@@ -114,7 +115,7 @@ def test_galerkin_rhs_linear_stiffness_modes():
     basis = orthogonalize(np.vstack([np.ones_like(k), k])[None], grid.weights[None])
     c = 0.05
     modes = np.array([[[c, 0.0], [0.0, 0.0]]])
-    out = _rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
+    out = galerkin_rhs(0.0, modes, basis, OSC, grid.nodes, ONE)[0]
     assert np.allclose(out[0], [0.0, 0.0], atol=1e-16)
     assert out[1, 0] == pytest.approx(-4.0 * c, rel=1e-14)
     assert out[1, 1] == pytest.approx(-c / 100.0, rel=1e-12)
@@ -124,7 +125,8 @@ def test_rk4_single_step_matches_closed_form():
     grid = deterministic_grid(400.0)
     basis = orthogonalize(np.ones((1, 1, 1)), grid.weights[None])
     dt = 1e-3
-    stepped = _rk4(0.0, np.array([[[0.05], [0.2]]]), basis, OSC, grid.nodes, dt, ONE)
+    modes = np.array([[[0.05], [0.2]]])
+    stepped = galerkin_rk4(0.0, modes, basis, OSC, grid.nodes, dt, ONE)
     exact = 0.05 * np.cos(2.0 * dt) + 0.1 * np.sin(2.0 * dt)
     assert abs(stepped[0, 0, 0] - exact) < 1e-13
 
@@ -138,7 +140,7 @@ def test_rk4_is_fourth_order():
         modes = np.array([[[0.05], [0.2]]])
         dt = period / n
         for i in range(n):
-            modes = _rk4(i * dt, modes, basis, OSC, grid.nodes, dt, ONE)
+            modes = galerkin_rk4(i * dt, modes, basis, OSC, grid.nodes, dt, ONE)
         errs.append(abs(modes[0, 0, 0] - 0.05))  # full period returns to u0
     rate = np.log2(errs[0] / errs[1])
     assert abs(rate - 4.0) < 0.2
@@ -301,10 +303,10 @@ def test_rebuild_basis_deterministic(warm_oscillator):
     grid, basis, modes = warm_oscillator
     values = modes @ basis.values
     a = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
     b = orthogonalize(
-        _candidates(OSC, 1.0, values[0], grid.nodes, 4, 1), grid.weights[None]
+        germ_candidates(OSC, 1.0, values[0], grid.nodes, 4), grid.weights[None]
     )
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.squared_norms, b.squared_norms)

@@ -1,6 +1,9 @@
 """Reference oracles: closed form, dense per-node integration, Monte Carlo."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,13 +164,15 @@ def test_mc_worker_count_does_not_change_bits(name, dists, dt):
 
 def test_mc_parent_draws_only_its_own_batches(tmp_path, monkeypatch):
     # Four batches on two workers: the parent maps batches 0 and 2 through
-    # the inverse CDF, and its child batches 1 and 3.
+    # the inverse CDF, and its child batches 1 and 3. (The parent's call on
+    # no samples, which loads the law's dependencies, maps no batch.)
     log = tmp_path / "ppf.log"
     ppf = Distribution.ppf
 
     def logged_ppf(self, u):
-        with open(log, "a") as handle:
-            handle.write(f"{os.getpid()}\n")
+        if np.size(u):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
         return ppf(self, u)
 
     monkeypatch.setattr(Distribution, "ppf", logged_ppf)
@@ -177,6 +182,48 @@ def test_mc_parent_draws_only_its_own_batches(tmp_path, monkeypatch):
     pids = log.read_text().split()
     assert len(pids) == 4
     assert pids.count(str(os.getpid())) == 2
+
+
+MC_LAW_LOAD_SCRIPT = """
+import os, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from mefsc import MODELS, Distribution, monte_carlo_moments
+
+parent = os.getpid()
+ppf = Distribution.ppf
+
+def logged_ppf(self, u):
+    if os.getpid() != parent:
+        with open({log!r}, "a") as handle:
+            handle.write(f"{{'scipy.special' in sys.modules}}\\n")
+    return ppf(self, u)
+
+Distribution.ppf = logged_ppf
+laws = (Distribution.uniform(150.0, 450.0), Distribution.beta(2.0, 5.0, 340.0, 460.0))
+args = (MODELS["vanderpol"], laws, 4000, 5e-3, 0.05, 7)
+assert "scipy.special" not in sys.modules
+two = monte_carlo_moments(*args, batch_size=1000, workers=2)
+assert "scipy.special" in sys.modules
+one = monte_carlo_moments(*args, batch_size=1000, workers=1)
+assert np.array_equal(two.mean, one.mean)
+assert np.array_equal(two.variance, one.variance)
+"""
+
+
+def test_mc_workers_find_the_laws_loaded(tmp_path):
+    # In a fresh interpreter, a beta axis needs scipy.special. The parent
+    # loads it before it forks, so no worker child imports it itself, and
+    # two workers give the bits of one.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    log = tmp_path / "child-ppf.log"
+    script = MC_LAW_LOAD_SCRIPT.format(src=src, log=str(log))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stderr
+    # The child maps batches 1 and 3 (two axes each); scipy was loaded for all.
+    assert log.read_text().split() == ["True"] * 4
 
 
 def test_mc_standard_error_scaling():
