@@ -14,9 +14,9 @@ import numpy as np
 class ModelSpec:
     """A stochastic ODE system with analytic time-derivative chains.
 
-    ``rhs(t, nodes, state, *, out=None)`` maps an (n, Q) state sampled at
-    the Q parameter nodes to its time derivative, also (n, Q).
-    ``derivative_chain(t, nodes, state, order, *, out=None)`` supplies the
+    ``rhs(t, nodes, state, *, out)`` maps an (n, Q) state sampled at the
+    Q parameter nodes to its time derivative, also (n, Q).
+    ``derivative_chain(t, nodes, state, order, *, out)`` supplies the
     higher derivatives, every level from 0 to ``order`` in one call,
     level-major. For a scalar-unknown system written in companion form
     (``companion=True``) level j is one row, the j-th time derivative of the
@@ -24,8 +24,8 @@ class ModelSpec:
     ``rhs``), so the chain is (order+1, Q); for a general first-order system
     level j is the n rows of the j-th derivative of ``rhs`` itself, so the
     chain is ((order+1)*n, Q); each level has the bits it has as the last
-    level of a shorter chain. Following numpy's ``out=`` convention, both
-    write into ``out`` (a fresh array when None), which must not share
+    level of a shorter chain. Both write into ``out``, a required keyword
+    (they allocate no result array of their own), which must not share
     memory with ``state``, and return it. Both must be pure: identical
     arguments give bit-identical results.
 
@@ -60,9 +60,11 @@ def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> Non
     The rows are the state components, then their time derivatives at the
     current instant, derivative-major (for systems: all components of the
     first derivative, then all of the second, ...), cut at ``truncation``
-    rows, from one chain call. For companion-form models each level
-    contributes the single genuinely new scalar derivative. The constant
-    germ is not included; basis construction prepends it.
+    rows, from one chain call. When the cut falls inside a level, the chain
+    writes whole levels into a scratch array and the leading rows are
+    copied. For companion-form models each level contributes the single
+    genuinely new scalar derivative. The constant germ is not included;
+    basis construction prepends it.
 
     ``state`` is (n, N) at the N rows of ``nodes`` and ``out`` is
     (truncation, N). Models are pointwise in the nodes, so N may stack the
@@ -78,5 +80,7 @@ def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> Non
         if (order + 1) * per_level == germs:
             model.derivative_chain(t, nodes, state, order, out=out[n:])
         else:
-            out[n:] = model.derivative_chain(t, nodes, state, order)[:germs]
+            levels = np.empty(((order + 1) * per_level, out.shape[1]))
+            model.derivative_chain(t, nodes, state, order, out=levels)
+            out[n:] = levels[:germs]
 

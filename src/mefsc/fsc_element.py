@@ -112,11 +112,13 @@ class WarmStart:
 
 @dataclass
 class LocalSeries:
-    """Per-step local moments of one element, plus solver diagnostics.
+    """One element's solver diagnostics.
 
-    ``mean`` and ``variance`` are (n, steps+1) when the batch stored its
-    series, and (n, 0) when it only handed its moments to a reduction (see
-    ``reduce`` of :func:`run_elements`).
+    Its moments went to ``reduce`` of :func:`run_elements`, so ``times`` is
+    the time grid and ``mean`` and ``variance`` are always (n, 0). The three
+    fields stay only because perfbench's ``spans.BatchProbe`` reads
+    ``times.size`` and ``mean.nbytes`` of every series; they go with the
+    benchmark upkeep of ROADMAP item 6.
     """
 
     times: np.ndarray
@@ -248,10 +250,19 @@ def run_elements(
     points_per_axis: int = 10,
     audit_orthogonality: bool = False,
     *,
-    reduce=None,
+    reduce,
     block_elements: int | None = None,
 ) -> list[LocalSeries]:
     """Integrate a batch of elements in one time loop.
+
+    The local moments are handed to ``reduce``, not stored: they are
+    buffered a block of steps at a time, and ``reduce(start, means,
+    variances)`` receives the (E, n, k) means and variances of steps
+    ``start`` to ``start + k - 1`` each time the block fills and after the
+    last step. The buffer is reused for the next block, so ``reduce`` must
+    copy what it keeps. The block holds about ``_BLOCK_BYTES`` for
+    ``block_elements`` elements (default: this batch's), so batches of one
+    run that pass the run's element count share block boundaries.
 
     Returns one :class:`LocalSeries` per box, in order; ``element_ids`` name
     the boxes in fallback events and blow-up reports. With a warm start the
@@ -259,16 +270,6 @@ def run_elements(
     the flow-driven rebuild+transfer takes over at every step.
     ``audit_orthogonality`` tracks each element's worst normalized
     off-diagonal Gram entry over all rebuilds (costly, for validation runs).
-
-    With ``reduce`` the local moments are handed over instead of stored:
-    they are buffered a block of steps at a time, and
-    ``reduce(start, means, variances)`` receives the (E, n, k) means and
-    variances of steps ``start`` to ``start + k - 1`` each time the block
-    fills and after the last step. The block holds about ``_BLOCK_BYTES``
-    for ``block_elements`` elements (default: this batch's), so batches of
-    one run that pass the run's element count share block boundaries. The
-    series returned then hold (n, 0) moment arrays. Without ``reduce`` every
-    step is stored and returned.
     """
     check_truncation(model, truncation)
     grids = [
@@ -303,10 +304,8 @@ def run_elements(
     rhs = _galerkin_rhs(model, basis, ids, state)
     np.matmul(at_nodes, basis.projector, out=modes)
 
-    width = n_steps + 1
-    if reduce is not None:
-        per_step = 16 * (block_elements or n_el) * n
-        width = min(width, max(1, _BLOCK_BYTES // per_step))
+    per_step = 16 * (block_elements or n_el) * n
+    width = min(n_steps + 1, max(1, _BLOCK_BYTES // per_step))
     mean = np.empty((n_el, n, width))
     variance = np.empty((n_el, n, width))
     start = 0
@@ -316,7 +315,7 @@ def run_elements(
         col = step - start
         mean[:, :, col] = modes[:, :, 0]
         variance[:, :, col] = _local_variance(modes, basis)
-        if reduce is not None and (col + 1 == width or step == n_steps):
+        if col + 1 == width or step == n_steps:
             reduce(start, mean[:, :, : col + 1], variance[:, :, : col + 1])
             start = step + 1
 
@@ -349,13 +348,12 @@ def run_elements(
         t = times[i + 1]
         record(i + 1, modes, basis)
 
-    if reduce is not None:
-        mean = variance = np.empty((n_el, n, 0))
+    moments = np.empty((n, 0))
     return [
         LocalSeries(
             times=times,
-            mean=mean[e],
-            variance=variance[e],
+            mean=moments,
+            variance=moments,
             fallback_events=events[e],
             max_orthogonality_residual=(
                 float(max_residual[e]) if audit_orthogonality else None

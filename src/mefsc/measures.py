@@ -196,14 +196,8 @@ class RandomSpacePartition:
     mu(element), which sum to one.
     """
 
-    distributions: tuple[Distribution, ...]
-    counts: tuple[int, ...]
     boxes: np.ndarray
     masses: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.distributions)
 
     @property
     def n_elements(self) -> int:
@@ -247,7 +241,7 @@ def partition_random_domain(
         ]
     )
     masses = np.array([element_measure(distributions, box) for box in boxes])
-    return RandomSpacePartition(distributions, counts, boxes, masses)
+    return RandomSpacePartition(boxes, masses)
 
 
 def element_measure(

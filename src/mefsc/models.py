@@ -21,17 +21,13 @@ _OSC_U0 = 0.05
 _OSC_V0 = 0.20
 
 
-def _osc_rhs(t, nodes, state, *, out=None):
-    if out is None:
-        out = np.empty_like(state)
+def _osc_rhs(t, nodes, state, *, out):
     out[0] = state[1]
     np.multiply(-(nodes[:, 0] / _OSC_MASS), state[0], out=out[1])
     return out
 
 
-def _osc_chain(t, nodes, state, order, *, out=None):
-    if out is None:
-        out = np.empty((order + 1, state.shape[1]))
+def _osc_chain(t, nodes, state, order, *, out):
     d0, d1 = state[0], state[1]
     for level in out:
         d0, d1 = d1, np.multiply(-(nodes[:, 0] / _OSC_MASS), d0, out=level)
@@ -57,9 +53,7 @@ oscillator = ModelSpec(
 
 
 # u''' + 0.5 u'' + k u' + u = 0 with random k; companion state (u, u', u'').
-def _third_rhs(t, nodes, state, *, out=None):
-    if out is None:
-        out = np.empty_like(state)
+def _third_rhs(t, nodes, state, *, out):
     k = nodes[:, 0]
     out[0] = state[1]
     out[1] = state[2]
@@ -67,9 +61,7 @@ def _third_rhs(t, nodes, state, *, out=None):
     return out
 
 
-def _third_chain(t, nodes, state, order, *, out=None):
-    if out is None:
-        out = np.empty((order + 1, state.shape[1]))
+def _third_chain(t, nodes, state, order, *, out):
     d0, d1, d2 = state[0], state[1], state[2]
     for level in out:
         d0, d1, d2 = d1, d2, np.negative(0.5 * d2 + nodes[:, 0] * d1 + d0, out=level)
@@ -100,9 +92,7 @@ _VDP_U0 = 0.20
 _VDP_V0 = 0.30
 
 
-def _vdp_rhs(t, nodes, state, *, out=None):
-    if out is None:
-        out = np.empty_like(state)
+def _vdp_rhs(t, nodes, state, *, out):
     c = nodes[:, 0] / _VDP_MASS
     k = nodes[:, 1] / _VDP_MASS
     u, du = state[0], state[1]
@@ -111,11 +101,9 @@ def _vdp_rhs(t, nodes, state, *, out=None):
     return out
 
 
-def _vdp_chain(t, nodes, state, order, *, out=None):
+def _vdp_chain(t, nodes, state, order, *, out):
     # D^{m+2} u = (c/m) sum_i C(m,i) g_i D^{m-i+1} u - (k/m) D^m u, where
     # g_i is the i-th derivative of (1 - rho u^2), itself a Leibniz sum.
-    if out is None:
-        out = np.empty((order + 1, state.shape[1]))
     c = nodes[:, 0] / _VDP_MASS
     k = nodes[:, 1] / _VDP_MASS
     d = [state[0], state[1]]
@@ -146,15 +134,13 @@ vanderpol = ModelSpec(
 )
 
 
-def _ko_chain(t, nodes, state, order, *, out=None):
+def _ko_chain(t, nodes, state, order, *, out):
     # Leibniz on the quadratic couplings: with a=D^i u1, b=D^i u2, e=D^i u3,
     #   a_{j+1} =  sum_i C(j,i) a_i e_{j-i}
     #   b_{j+1} = -sum_i C(j,i) b_i e_{j-i}
     #   e_{j+1} =  sum_i C(j,i) (b_i b_{j-i} - a_i a_{j-i})
     # Each sum is accumulated in place from 0, term by term, as sum() adds
     # fresh arrays; two scratch rows hold the terms.
-    if out is None:
-        out = np.empty((3 * (order + 1), state.shape[1]))
     term, other = np.empty((2, state.shape[1]))
     d = [state, *np.split(out, order + 1)]
     for j in range(order + 1):
@@ -172,11 +158,9 @@ def _ko_chain(t, nodes, state, order, *, out=None):
     return out
 
 
-def _ko_rhs(t, nodes, state, *, out=None):
+def _ko_rhs(t, nodes, state, *, out):
     # Order 0 of _ko_chain, without the Leibniz sums (whose 0 + x turns a
     # -0.0 product into +0.0). Row 0 holds a*a until row 2 is formed.
-    if out is None:
-        out = np.empty_like(state)
     a, b, e = state[0], state[1], state[2]
     np.multiply(a, a, out=out[0])
     np.multiply(b, b, out=out[2])

@@ -17,6 +17,7 @@ from .aggregate import MomentSeries, fork_reduce
 from .flowmap import ModelSpec
 from .fsc_element import NumericalBlowup, rk4_step, step_count
 from .measures import Distribution, DistributionKind, build_quadrature, gauss_legendre
+from .models import _OSC_MASS, _OSC_U0, _OSC_V0
 
 # Quantile at which the untruncated gamma reference window is cut.
 _GAMMA_TAIL = 1e-12
@@ -64,23 +65,17 @@ def _reference_rule(distribution: Distribution, points: int):
     return nodes, weights
 
 
-def exact_problem1_moments(
-    times,
-    distribution: Distribution,
-    *,
-    mass: float = 100.0,
-    displacement: float = 0.05,
-    velocity: float = 0.20,
-) -> MomentSeries:
+def exact_problem1_moments(times, distribution: Distribution) -> MomentSeries:
     """Closed-form moments of the random-stiffness oscillator.
 
-    u(t, xi) = u0 cos(w t) + (v0/w) sin(w t) with w = sqrt(xi/mass); moments
+    u(t, xi) = u0 cos(w t) + (v0/w) sin(w t) with w = sqrt(xi/mass), the
+    mass and initial state being those of ``models.oscillator``; moments
     by 200-point Gauss quadrature against the stiffness law (the parent gamma
     density when the law is a truncated gamma).
     """
     times = np.asarray(times, dtype=float)
     nodes, w = _reference_rule(distribution, 200)
-    omega = np.sqrt(nodes / mass)
+    omega = np.sqrt(nodes / _OSC_MASS)
     mean = np.empty((2, times.size))
     var = np.empty((2, times.size))
     # The last block is padded with zero times to the full _TIME_BLOCK rows:
@@ -93,8 +88,8 @@ def exact_problem1_moments(
         stop = min(start + _TIME_BLOCK, times.size)
         phase = block * omega
         cos, sin = np.cos(phase), np.sin(phase)
-        u = displacement * cos + (velocity / omega) * sin
-        v = velocity * cos - displacement * omega * sin
+        u = _OSC_U0 * cos + (_OSC_V0 / omega) * sin
+        v = _OSC_V0 * cos - _OSC_U0 * omega * sin
         for row, values in enumerate((u, v)):
             first = values @ w
             second = (values * values) @ w

@@ -31,6 +31,7 @@ from mefsc import (
     run_me_fsc,
 )
 from mefsc.aggregate import _check_masses, _total_moments, fork_reduce
+from stepping import stored_run
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -45,18 +46,14 @@ def block_bytes(steps: int, n_elements: int, state_dim: int) -> int:
 
 
 def stored_reference(config: SolverConfig):
-    """Every element's stored series in one batch, reduced in one go.
+    """Every element's moments at every step, from one batch, reduced in one go.
 
     Returns the series and the global mean and variance.
     """
     partition = partition_random_domain(config.distributions, config.element_counts)
     ids = np.arange(partition.n_elements)
-    series = run_elements(*aggregate._batch_args(config, partition, ids))
-    mean, variance = _total_moments(
-        np.stack([s.mean for s in series]),
-        np.stack([s.variance for s in series]),
-        partition.masses,
-    )
+    series, means, variances = stored_run(*aggregate._batch_args(config, partition, ids))
+    mean, variance = _total_moments(means, variances, partition.masses)
     return series, mean, variance
 
 
@@ -153,12 +150,12 @@ def test_run_me_fsc_single_element_matches_run_element(
         warmstart=warmstart,
     )
     combined = run_me_fsc(config)
-    (alone,) = run_elements(
+    (alone,), (mean,), (variance,) = stored_run(
         [[[lo, hi]]], [0], dists, model, truncation, 1e-3, steps * 1e-3, warmstart
     )
     assert np.array_equal(combined.times, alone.times)
-    assert np.array_equal(combined.mean, alone.mean)
-    assert np.array_equal(combined.variance, alone.variance)
+    assert np.array_equal(combined.mean, mean)
+    assert np.array_equal(combined.variance, variance)
     assert combined.fallback_events == alone.fallback_events
 
 
@@ -177,12 +174,12 @@ def test_run_me_fsc_agrees_with_scalar_aggregation():
     )
     series = run_me_fsc(config)
     masses = series.partition.masses
-    locals_ = stored_reference(config)[0]
+    _, means, variances = stored_run(
+        *aggregate._batch_args(config, series.partition, np.arange(4))
+    )
     for idx in (0, 150, 300):
-        means = [ls.mean[0, idx] for ls in locals_]
-        variances = [ls.variance[0, idx] for ls in locals_]
         want_mean, want_var = _total_moments(
-            np.array(means), np.array(variances), masses
+            means[:, 0, idx], variances[:, 0, idx], masses
         )
         assert series.mean[0, idx] == pytest.approx(want_mean, rel=1e-14, abs=1e-16)
         assert series.variance[0, idx] == pytest.approx(want_var, rel=1e-13, abs=1e-18)
@@ -261,7 +258,7 @@ def test_pool_blowup_names_lowest_offending_element(
         ]
     )
     masses = np.full(n_elements, 1.0 / n_elements)
-    partition = RandomSpacePartition(dists, (n_elements,), boxes, masses)
+    partition = RandomSpacePartition(boxes, masses)
     monkeypatch.setattr(aggregate, "partition_random_domain", lambda *_: partition)
     config = SolverConfig(
         OSC, dists, (n_elements,), 4, dt=1.0, duration=1000.0, workers=workers
@@ -428,6 +425,16 @@ WORKER_COUNT_CASES = {
         duration=0.1,
         points_per_axis=4,
     ),
+    # Levels of three rows: five germs end part way through the second.
+    "kraichnan_orszag_truncation5": SolverConfig(
+        KO,
+        tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3)),
+        (2, 2, 1),
+        5,
+        dt=5e-3,
+        duration=0.1,
+        points_per_axis=4,
+    ),
 }
 
 
@@ -541,20 +548,14 @@ def test_run_elements_hands_moment_blocks_to_reduce(monkeypatch):
         blocks.append((start, means.copy(), variances.copy()))
 
     streamed = run_elements(*args, reduce=reduce)
-    stored = run_elements(*args)
+    _, mean, variance = stored_run(*args)
     assert [(start, m.shape) for start, m, _ in blocks] == [
         (0, (3, 2, 4)),
         (4, (3, 2, 4)),
         (8, (3, 2, 3)),
     ]
-    assert np.array_equal(
-        np.concatenate([m for _, m, _ in blocks], axis=2),
-        np.stack([series.mean for series in stored]),
-    )
-    assert np.array_equal(
-        np.concatenate([v for _, _, v in blocks], axis=2),
-        np.stack([series.variance for series in stored]),
-    )
+    assert np.array_equal(np.concatenate([m for _, m, _ in blocks], axis=2), mean)
+    assert np.array_equal(np.concatenate([v for _, _, v in blocks], axis=2), variance)
     for series in streamed:
         assert series.mean.shape == series.variance.shape == (2, 0)
         assert series.times.size == 11

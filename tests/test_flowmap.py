@@ -7,6 +7,7 @@ import pytest
 
 from mefsc import MODELS, Distribution, ModelSpec, build_quadrature
 from mefsc.flowmap import check_truncation, fill_germs
+from stepping import stacked_rhs
 
 OSC = MODELS["oscillator"]
 THIRD = MODELS["third_order"]
@@ -25,6 +26,14 @@ def germ_rows(model, t, state, grid, count):
     rows = np.empty((count, grid.n_nodes))
     fill_germs(model, t, grid.nodes, state, rows)
     return rows
+
+
+def full_chain(model, t, nodes, state, order):
+    """Every level of the model's derivative chain to ``order``, written
+    into a NaN-filled array of whole levels."""
+    rows = 1 if model.companion else model.state_dim
+    out = np.full(((order + 1) * rows, state.shape[1]), np.nan)
+    return model.derivative_chain(t, nodes, state, order, out=out)
 
 
 def test_oscillator_germs_at_known_state():
@@ -61,12 +70,12 @@ def test_chain_order_zero_matches_rhs(model, centers):
     nodes = grid.nodes
     rng = np.random.default_rng(5)
     state = rng.uniform(-0.5, 0.5, size=(model.state_dim, nodes.shape[0]))
-    chain = model.derivative_chain(0.0, nodes, state, 0)
-    rhs = model.rhs(0.0, nodes, state)
+    levels = full_chain(model, 0.0, nodes, state, 0)
+    rhs = model.rhs(0.0, nodes, state, out=np.full_like(state, np.nan))
     if model.companion:
-        assert np.array_equal(chain[0], rhs[-1])
+        assert np.array_equal(levels[0], rhs[-1])
     else:
-        assert np.array_equal(chain, rhs)
+        assert np.array_equal(levels, rhs)
 
 
 @pytest.mark.parametrize("model,centers", [
@@ -82,9 +91,19 @@ def test_rhs_writes_into_out(model, centers):
     state[:, 0] = 0.0  # exact zeros, so the sign of a zero row entry is checked too
     out = np.full_like(state, np.nan)
     assert model.rhs(0.0, nodes, state, out=out) is out
-    fresh = model.rhs(0.0, nodes, state)
+    fresh = stacked_rhs(model.name)(0.0, nodes, state)
     assert np.array_equal(out, fresh)
     assert np.array_equal(np.signbit(out), np.signbit(fresh))
+
+
+@pytest.mark.parametrize("model", [OSC, THIRD, VDP, KO])
+def test_model_callables_require_out(model):
+    nodes = np.ones((2, model.param_dim))
+    state = np.ones((model.state_dim, 2))
+    with pytest.raises(TypeError):
+        model.rhs(0.0, nodes, state)
+    with pytest.raises(TypeError):
+        model.derivative_chain(0.0, nodes, state, 1)
 
 
 @pytest.mark.parametrize("model,centers", [
@@ -94,21 +113,19 @@ def test_rhs_writes_into_out(model, centers):
     (KO, (0.3, -0.4, 0.6)),
 ])
 def test_chain_levels_match_shorter_chains(model, centers):
-    # One call returns every level, level-major, each with the bits it has
-    # as the last level of a chain that stops there, and writes into out.
+    # One call writes every level into out, level-major, each with the bits
+    # it has as the last level of a chain that stops there.
     rng = np.random.default_rng(8)
     nodes = np.array(centers) * rng.uniform(0.9, 1.1, size=(7, len(centers)))
     state = rng.uniform(-0.5, 0.5, size=(model.state_dim, 7))
     rows = 1 if model.companion else model.state_dim
     for k in range(5):
-        chain = model.derivative_chain(0.0, nodes, state, k)
-        assert chain.shape == ((k + 1) * rows, 7)
-        out = np.full_like(chain, np.nan)
+        out = np.full(((k + 1) * rows, 7), np.nan)
         assert model.derivative_chain(0.0, nodes, state, k, out=out) is out
-        assert np.array_equal(out, chain)
+        assert not np.isnan(out).any()
         for j in range(k + 1):
-            alone = model.derivative_chain(0.0, nodes, state, j)
-            assert np.array_equal(chain[j * rows : (j + 1) * rows], alone[-rows:])
+            alone = full_chain(model, 0.0, nodes, state, j)
+            assert np.array_equal(out[j * rows : (j + 1) * rows], alone[-rows:])
 
 
 # The chains as they were before they wrote into ``out``: fresh arrays at
@@ -161,10 +178,25 @@ def test_chain_matches_the_allocating_chain(model, centers):
     state = rng.uniform(-0.5, 0.5, size=(model.state_dim, 7))
     state[:, 0] = 0.0
     for k in range(5):
-        chain = model.derivative_chain(0.0, nodes, state, k)
+        levels = full_chain(model, 0.0, nodes, state, k)
         fresh = _allocating_levels(model, nodes, state, k)
-        assert np.array_equal(chain, fresh)
-        assert np.array_equal(np.signbit(chain), np.signbit(fresh))
+        assert np.array_equal(levels, fresh)
+        assert np.array_equal(np.signbit(levels), np.signbit(fresh))
+
+
+@pytest.mark.parametrize("rows", [4, 5, 7, 8])
+def test_germs_cut_inside_a_level_are_leading_rows(rows):
+    # Three-mode levels are three rows each, so these truncations cut a
+    # derivative level: the germs must be the leading rows of the longer fill.
+    rng = np.random.default_rng(10)
+    nodes = rng.uniform(-1.0, 1.0, size=(7, 3))
+    state = rng.uniform(-0.5, 0.5, size=(3, 7))
+    state[:, 0] = 0.0
+    cut, full = np.full((rows, 7), np.nan), np.full((9, 7), np.nan)
+    fill_germs(KO, 0.0, nodes, state, cut)
+    fill_germs(KO, 0.0, nodes, state, full)
+    assert np.array_equal(cut, full[:rows])
+    assert np.array_equal(np.signbit(cut), np.signbit(full[:rows]))
 
 
 def taylor_propagate(
@@ -191,7 +223,7 @@ def taylor_propagate(
         return out
     n = model.state_dim
     factor = 1.0
-    levels = model.derivative_chain(t, nodes, s, order - 1)
+    levels = full_chain(model, t, nodes, s, order - 1)
     if model.companion:
         # Rows i..n-1 of the state are already derivatives of row 0, so one
         # scalar chain serves every component.

@@ -19,7 +19,7 @@ from mefsc import (
 )
 from mefsc.basis import orthogonalize
 from mefsc.fsc_element import _local_variance
-from stepping import galerkin_rhs, galerkin_rk4, germ_candidates, transfer
+from stepping import galerkin_rhs, galerkin_rk4, germ_candidates, stored_run, transfer
 
 OSC = MODELS["oscillator"]
 KO = MODELS["kraichnan_orszag"]
@@ -168,22 +168,24 @@ def test_local_moments_match_node_quadrature(warm_oscillator):
         assert abs(variance[row] - var) < 1e-12 * max(var, 1e-12)
 
 
-def local_error_vs_exact(series, distribution):
+def local_error_vs_exact(times, mean, variance, distribution):
     wrapped = MomentSeries(
-        times=series.times,
-        mean=series.mean,
-        variance=series.variance,
-        component_names=("u", "dudt"),
+        times=times, mean=mean, variance=variance, component_names=("u", "dudt")
     )
-    reference = exact_problem1_moments(series.times, distribution)
+    reference = exact_problem1_moments(times, distribution)
     return error_metrics(wrapped, reference)
 
 
+def test_run_elements_requires_reduce():
+    with pytest.raises(TypeError):
+        run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.0)
+
+
 def test_run_element_single_element_accuracy():
-    (series,) = run_elements(
+    (series,), (mean,), (variance,) = stored_run(
         [P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 10.0, warmstart=WarmStart(7, 1.0)
     )
-    errors = local_error_vs_exact(series, P1_DIST[0])
+    errors = local_error_vs_exact(series.times, mean, variance, P1_DIST[0])
     assert errors.global_mean_error[0] < 1e-6
     assert errors.global_variance_error[0] < 1e-6
 
@@ -198,30 +200,32 @@ def test_run_element_pure_warm_start(monkeypatch):
         return orthogonalize(cands, weights)
 
     monkeypatch.setattr(fsc_element, "orthogonalize", recording)
-    (series,) = run_elements(
+    (series,), (mean,), (variance,) = stored_run(
         [P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 2.0, warmstart=WarmStart(7, 2.0)
     )
     assert shapes == [(1, 8, 10)]
     assert series.fallback_events == []
-    errors = local_error_vs_exact(series, P1_DIST[0])
+    errors = local_error_vs_exact(series.times, mean, variance, P1_DIST[0])
     assert errors.global_mean_error[0] < 1e-8
 
 
 def test_run_element_duration_zero():
-    (series,) = run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.0)
+    (series,), (mean,), (variance,) = stored_run(
+        [P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.0
+    )
     assert series.times.tolist() == [0.0]
-    assert np.allclose(series.mean[:, 0], [0.05, 0.2], rtol=1e-14)
+    assert np.allclose(mean[:, 0], [0.05, 0.2], rtol=1e-14)
     # deterministic ICs: only projection rounding can leak into the variance
-    assert np.max(series.variance[:, 0]) < 1e-30
+    assert np.max(variance[:, 0]) < 1e-30
 
 
 @pytest.mark.parametrize("duration", [0.0105, 0.0004])
 def test_run_element_rejects_partial_step_horizon(duration):
     with pytest.raises(ValueError, match="not a whole number of steps"):
-        run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, duration)
+        stored_run([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, duration)
     warmstart = WarmStart(7, duration)
     with pytest.raises(ValueError, match="warm-start duration"):
-        run_elements([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.02, warmstart=warmstart)
+        stored_run([P1_BOX], [0], P1_DIST, OSC, 4, 1e-3, 0.02, warmstart=warmstart)
 
 
 def test_run_element_ko_initial_variance():
@@ -229,10 +233,10 @@ def test_run_element_ko_initial_variance():
     # u1 at t=0 is the conditional variance of xi_1 on the element.
     dists = tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3))
     box = [[0.0, 0.5], [-1.0, -0.5], [0.25, 0.75]]
-    (series,) = run_elements([box], [0], dists, KO, 6, 5e-3, 0.0)
+    _, (mean,), (variance,) = stored_run([box], [0], dists, KO, 6, 5e-3, 0.0)
     width_var = 0.5**2 / 12.0
-    assert np.allclose(series.variance[:, 0], width_var, rtol=1e-12)
-    assert np.allclose(series.mean[:, 0], [0.25, -0.75, 0.5], rtol=1e-14)
+    assert np.allclose(variance[:, 0], width_var, rtol=1e-12)
+    assert np.allclose(mean[:, 0], [0.25, -0.75, 0.5], rtol=1e-14)
 
 
 def test_run_element_point_mass_tracks_deterministic():
@@ -241,17 +245,17 @@ def test_run_element_point_mass_tracks_deterministic():
     half = 5e-10
     box = [[400.0 - half, 400.0 + half]]
     dists = (Distribution.uniform(400.0 - half, 400.0 + half),)
-    (series,) = run_elements([box], [0], dists, OSC, 4, 1e-3, 1.0)
+    (series,), (mean,), (variance,) = stored_run([box], [0], dists, OSC, 4, 1e-3, 1.0)
     t = series.times
     exact = 0.05 * np.cos(2.0 * t) + 0.1 * np.sin(2.0 * t)
-    assert np.max(np.abs(series.mean[0] - exact)) < 1e-8
-    assert np.max(series.variance) < 1e-12
+    assert np.max(np.abs(mean[0] - exact)) < 1e-8
+    assert np.max(variance) < 1e-12
 
 
 def test_unstable_step_raises_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowup) as info:
-            run_elements([P1_BOX], [5], P1_DIST, OSC, 4, 2.0, 1000.0)
+            stored_run([P1_BOX], [5], P1_DIST, OSC, 4, 2.0, 1000.0)
     assert info.value.element_id == 5
     assert "non-finite" in str(info.value)
     assert info.value.t > 0.0
@@ -263,13 +267,15 @@ def test_batch_results_do_not_depend_on_batch_members():
     dists = (Distribution.uniform(2.0, 3.0),)
     part = partition_random_domain(dists, (4,))
     args = (dists, THIRD, 5, 1e-3, 1.5, WarmStart(7, 1.0))
-    batch = run_elements(part.boxes, range(4), *args, audit_orthogonality=True)
+    batch, means, variances = stored_run(
+        part.boxes, range(4), *args, audit_orthogonality=True
+    )
     for e, together in enumerate(batch):
-        (alone,) = run_elements(
+        (alone,), (mean,), (variance,) = stored_run(
             part.boxes[e : e + 1], [e], *args, audit_orthogonality=True
         )
-        assert np.array_equal(together.mean, alone.mean)
-        assert np.array_equal(together.variance, alone.variance)
+        assert np.array_equal(means[e], mean)
+        assert np.array_equal(variances[e], variance)
         assert together.max_orthogonality_residual == alone.max_orthogonality_residual
         assert together.max_orthogonality_residual < 1e-10
 
@@ -281,11 +287,11 @@ def test_batch_blowup_names_lowest_offending_element():
     boxes = [[[3000.0, 3600.0]], [[340.0, 460.0]], [[3000.0, 3600.0]]]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalBlowup) as info:
-            run_elements(boxes, [7, 3, 5], dists, OSC, 4, 1.0, 1000.0)
+            stored_run(boxes, [7, 3, 5], dists, OSC, 4, 1.0, 1000.0)
     assert info.value.element_id == 5
     assert info.value.t > 0.0
-    (stable,) = run_elements(boxes[1:2], [3], dists, OSC, 4, 1.0, 1000.0)
-    assert np.all(np.isfinite(stable.mean))
+    _, stable_mean, _ = stored_run(boxes[1:2], [3], dists, OSC, 4, 1.0, 1000.0)
+    assert np.all(np.isfinite(stable_mean))
 
 
 def test_degenerate_germs_after_warm_start_raise():
@@ -295,7 +301,7 @@ def test_degenerate_germs_after_warm_start_raise():
     box = [[400.0 - half, 400.0 + half]]
     dists = (Distribution.uniform(400.0 - half, 400.0 + half),)
     with pytest.raises(NumericalBlowup) as info:
-        run_elements([box], [0], dists, OSC, 4, 1e-3, 1.0, WarmStart(0, 0.5))
+        stored_run([box], [0], dists, OSC, 4, 1e-3, 1.0, WarmStart(0, 0.5))
     assert "degenerate" in str(info.value)
 
 

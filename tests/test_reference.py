@@ -17,7 +17,8 @@ from mefsc import (
     monte_carlo_moments,
     quasi_exact_moments,
 )
-from mefsc import models, reference
+from mefsc import reference
+from stepping import stacked_rhs
 
 OSC = MODELS["oscillator"]
 THIRD = MODELS["third_order"]
@@ -299,30 +300,8 @@ def test_error_metrics_rejects_mismatched_grids():
 
 
 # The oracles as they were before they stepped in place: right-hand sides
-# that np.stack fresh rows, and an RK4 step that allocates every stage. The
-# in-place oracles must reproduce them bit for bit.
-def _stacked_rhs(name):
-    def osc(t, nodes, s):
-        return np.stack([s[1], -(nodes[:, 0] / models._OSC_MASS) * s[0]])
-
-    def third(t, nodes, s):
-        k = nodes[:, 0]
-        return np.stack([s[1], s[2], -(0.5 * s[2] + k * s[1] + s[0])])
-
-    def vdp(t, nodes, s):
-        c = nodes[:, 0] / models._VDP_MASS
-        k = nodes[:, 1] / models._VDP_MASS
-        u, du = s[0], s[1]
-        return np.stack([du, c * (1.0 - models._VDP_RHO * u * u) * du - k * u])
-
-    def ko(t, nodes, s):
-        a, b, e = s[0], s[1], s[2]
-        return np.stack([a * e, -(b * e), b * b - a * a])
-
-    return {"oscillator": osc, "third_order": third, "vanderpol": vdp,
-            "kraichnan_orszag": ko}[name]
-
-
+# that np.stack fresh rows (``stacked_rhs``), and an RK4 step that allocates
+# every stage. The in-place oracles must reproduce them bit for bit.
 def _allocating_rk4(rhs, nodes, states, t, dt):
     k1 = rhs(t, nodes, states)
     k2 = rhs(t + 0.5 * dt, nodes, states + (0.5 * dt) * k1)
@@ -332,7 +311,7 @@ def _allocating_rk4(rhs, nodes, states, t, dt):
 
 
 def _allocating_quasi_exact(model, dists, times, points, refinement=10):
-    rhs = _stacked_rhs(model.name)
+    rhs = stacked_rhs(model.name)
     grid = reference._full_domain_grid(dists, points)
     nodes, w = grid.nodes, grid.weights
     states = model.initial_state(nodes)
@@ -352,7 +331,7 @@ def _allocating_quasi_exact(model, dists, times, points, refinement=10):
 
 
 def _allocating_monte_carlo(model, dists, n_samples, dt, n_steps, seed, batch_size):
-    rhs = _stacked_rhs(model.name)
+    rhs = stacked_rhs(model.name)
     times = np.arange(n_steps + 1) * dt
     rng = np.random.Generator(np.random.Philox(seed))
     count = 0

@@ -1,11 +1,13 @@
-"""Print the digests of the CSVs of the 21-run bit check.
+"""Print the digests of the CSVs of the 24-run bit check.
 
     python3 tools/bitcheck.py [--out DIR] > digests.txt
 
-Runs the `mefsc` CLI of this checkout (its ``src`` directory) 21 times: the
-three benchmark workloads' command lines at seed 1, and the four presets at
+Runs the `mefsc` CLI of this checkout (its ``src`` directory) 24 times: the
+three benchmark workloads' command lines at seed 1, the four presets at
 horizons of 1.2, 1.2, 1.1 and 0.05 s (presets 3 and 4 with 120000 Monte
-Carlo samples), each with ``--workers`` 1, 2 and 3. Each run prints one line,
+Carlo samples), and preset 4 again at ``--basis 5``, whose germs end part
+way through a derivative level, each with ``--workers`` 1, 2 and 3. Each
+run prints one line,
 
     <run name> <sha256 of moments.csv> <sha256 of errors.csv>
 
@@ -29,12 +31,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 WORKERS = (1, 2, 3)
-# Preset id -> (horizon in seconds, extra flags).
+# Run name -> (preset id, horizon in seconds, extra flags).
 PRESETS = {
-    1: (1.2, ()),
-    2: (1.2, ()),
-    3: (1.1, ("--mc-samples", "120000")),
-    4: (0.05, ("--mc-samples", "120000")),
+    "preset1": (1, 1.2, ()),
+    "preset2": (2, 1.2, ()),
+    "preset3": (3, 1.1, ("--mc-samples", "120000")),
+    "preset4": (4, 0.05, ("--mc-samples", "120000")),
+    "preset4-basis5": (4, 0.05, ("--mc-samples", "120000", "--basis", "5")),
 }
 
 
@@ -45,9 +48,9 @@ def runs(out: Path):
             tag = f"{name}-w{workers}"
             argv = workload.argv(1, str(out / tag))
             yield tag, [*argv, "--workers", str(workers)]
-    for problem, (duration, extra) in PRESETS.items():
+    for name, (problem, duration, extra) in PRESETS.items():
         for workers in WORKERS:
-            tag = f"preset{problem}-w{workers}"
+            tag = f"{name}-w{workers}"
             yield tag, [
                 "--problem", str(problem), "--duration", repr(duration), *extra,
                 "--workers", str(workers), "--out", str(out / tag),
