@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -17,6 +18,32 @@ from .measures import QuadratureGrid
 # Squared-norm ratio under which a candidate counts as degenerate (1e-12 in
 # amplitude relative to its pre-orthogonalization size).
 DROP_RATIO = 1e-24
+
+# Byte boundary on which aligned_empty starts an array: one cache line.
+CACHE_LINE = 64
+# Smallest array that aligned_empty pads onto a cache line. glibc serves
+# smaller ones from its heap, where padding them moved oscillator-e512's peak
+# resident set up by about 0.1 MB; larger ones get pages of their own and
+# start 16 bytes past a page, off a line, unless padded.
+ALIGN_FROM_BYTES = 1 << 17
+
+
+def aligned_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An unfilled C-ordered array that starts on a CACHE_LINE boundary when
+    it holds at least ALIGN_FROM_BYTES.
+
+    numpy's allocator promises 16 bytes, so where a large array starts within
+    a cache line would otherwise depend on what the process allocated
+    before, and so would the speed of the loops over it (see
+    ``reference._RK4_CHUNK``).
+    """
+    dtype = np.dtype(dtype)
+    nbytes = prod(shape) * dtype.itemsize
+    if nbytes < ALIGN_FROM_BYTES:
+        return np.empty(shape, dtype)
+    raw = np.empty(nbytes + CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % CACHE_LINE
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 @dataclass
@@ -47,14 +74,25 @@ class BasisStack:
 
 def empty_stack(n_el: int, m: int, q: int) -> BasisStack:
     """A :class:`BasisStack` of unfilled arrays for ``orthogonalize(work=)``: views
-    of candidate-major arrays, so that its row operations are contiguous."""
-    values = np.empty((m, n_el, q))
+    of candidate-major arrays, so that its row operations are contiguous, with
+    values and projector allocated by :func:`aligned_empty`."""
     return BasisStack(
-        values.transpose(1, 0, 2),
-        np.empty_like(values).transpose(1, 2, 0),
+        aligned_empty((m, n_el, q)).transpose(1, 0, 2),
+        aligned_empty((m, n_el, q)).transpose(1, 2, 0),
         np.empty((m, n_el)).T,
         np.empty((m, n_el), dtype=bool).T,
         np.empty((m, n_el, m)).transpose(1, 0, 2),
+    )
+
+
+def stack_rows(stack: BasisStack, elements: slice) -> BasisStack:
+    """The bases of ``elements`` of ``stack``: views that write through."""
+    return BasisStack(
+        stack.values[elements],
+        stack.projector[elements],
+        stack.squared_norms[elements],
+        stack.kept[elements],
+        stack.coefficients[elements],
     )
 
 

@@ -16,8 +16,8 @@ class ModelSpec:
 
     ``rhs(t, nodes, state, *, out)`` maps an (n, Q) state sampled at the
     Q parameter nodes to its time derivative, also (n, Q).
-    ``derivative_chain(t, nodes, state, order, *, out)`` supplies the
-    higher derivatives, every level from 0 to ``order`` in one call,
+    ``derivative_chain(t, nodes, state, order, *, out, scratch)`` supplies
+    the higher derivatives, every level from 0 to ``order`` in one call,
     level-major. For a scalar-unknown system written in companion form
     (``companion=True``) level j is one row, the j-th time derivative of the
     highest-derivative component (level 0 coincides with the last row of
@@ -26,8 +26,11 @@ class ModelSpec:
     chain is ((order+1)*n, Q); each level has the bits it has as the last
     level of a shorter chain. Both write into ``out``, a required keyword
     (they allocate no result array of their own), which must not share
-    memory with ``state``, and return it. Both must be pure: identical
-    arguments give bit-identical results.
+    memory with ``state``, and return it. The chain also takes ``scratch``,
+    a (``chain_scratch_rows``, Q) array that it may overwrite for its
+    temporaries and that shares memory with neither. Both must be pure:
+    identical arguments give bit-identical results, whatever ``scratch``
+    holds.
 
     ``initial_state(nodes)`` evaluates the initial condition at the nodes.
     ``max_enrichment`` caps how many derivative levels the chain supports.
@@ -42,6 +45,7 @@ class ModelSpec:
     rhs: Callable[..., np.ndarray]
     derivative_chain: Callable[..., np.ndarray]
     initial_state: Callable[[np.ndarray], np.ndarray]
+    chain_scratch_rows: int = 0
 
 
 def check_truncation(model: ModelSpec, truncation: int) -> None:
@@ -54,33 +58,50 @@ def check_truncation(model: ModelSpec, truncation: int) -> None:
         )
 
 
-def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray) -> None:
+def _chain_rows(model: ModelSpec, germs: int) -> tuple[int, int]:
+    """Order of the chain that supplies ``germs`` derivative germs, and its row count."""
+    per_level = 1 if model.companion else model.state_dim
+    levels = -(-germs // per_level)
+    return levels - 1, levels * per_level
+
+
+def germ_scratch_rows(model: ModelSpec, truncation: int) -> int:
+    """Rows of the ``scratch`` that :func:`fill_germs` needs for ``truncation`` rows."""
+    germs = truncation - model.state_dim
+    if germs <= 0:
+        return 0
+    _, whole = _chain_rows(model, germs)
+    return (whole if whole != germs else 0) + model.chain_scratch_rows
+
+
+def fill_germs(model: ModelSpec, t: float, nodes, state, out: np.ndarray, *, scratch) -> None:
     """Write the germ rows for basis construction into ``out``.
 
     The rows are the state components, then their time derivatives at the
     current instant, derivative-major (for systems: all components of the
     first derivative, then all of the second, ...), cut at ``truncation``
     rows, from one chain call. When the cut falls inside a level, the chain
-    writes whole levels into a scratch array and the leading rows are
-    copied. For companion-form models each level contributes the single
+    writes whole levels into the leading rows of ``scratch`` and the leading
+    rows of those are copied; the chain's own scratch rows are the last
+    ones. For companion-form models each level contributes the single
     genuinely new scalar derivative. The constant germ is not included;
     basis construction prepends it.
 
-    ``state`` is (n, N) at the N rows of ``nodes`` and ``out`` is
-    (truncation, N). Models are pointwise in the nodes, so N may stack the
-    nodes of several elements. The truncation is not validated here (see
-    :func:`check_truncation`).
+    ``state`` is (n, N) at the N rows of ``nodes``, ``out`` is
+    (truncation, N) and ``scratch`` is (``germ_scratch_rows(model,
+    truncation)``, N); none shares memory with another. Models are
+    pointwise in the nodes, so N may stack the nodes of several elements.
+    The truncation is not validated here (see :func:`check_truncation`).
     """
     n = model.state_dim
     germs = out.shape[0] - n
     out[:n] = state
     if germs > 0:
-        per_level = 1 if model.companion else n
-        order = -(-germs // per_level) - 1
-        if (order + 1) * per_level == germs:
-            model.derivative_chain(t, nodes, state, order, out=out[n:])
+        order, whole = _chain_rows(model, germs)
+        chain_scratch = scratch[len(scratch) - model.chain_scratch_rows :]
+        if whole == germs:
+            model.derivative_chain(t, nodes, state, order, out=out[n:], scratch=chain_scratch)
         else:
-            levels = np.empty(((order + 1) * per_level, out.shape[1]))
-            model.derivative_chain(t, nodes, state, order, out=levels)
+            levels = scratch[:whole]
+            model.derivative_chain(t, nodes, state, order, out=levels, scratch=chain_scratch)
             out[n:] = levels[:germs]
-

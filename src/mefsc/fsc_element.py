@@ -13,6 +13,16 @@ advances a whole batch: state values are (E, n, Q), modes (E, n, m) and
 bases (E, m, Q), and model calls see every element's nodes stacked as
 (E*Q, d). An element's numbers depend on its own data only, never on which
 other elements share its batch, so one element is a batch of one.
+
+For the same reason a batch may be stepped in element blocks: runs of its
+elements that are each rebuilt, transferred and stepped before the next
+starts. A block holds at most ``_ELEMENT_BLOCK_BYTES`` of flow-driven basis
+values and projector, a core's L2 cache, which every Gram-Schmidt candidate
+and RK4 stage streams through; at 1000 nodes per element (the three-mode
+problem) that is 16 elements, while batches of 10-node elements stay one
+block. The blocks work on views of the batch's workspace cut along the
+element axis, which keep every array's inner strides, so each element keeps
+its bits.
 """
 from __future__ import annotations
 
@@ -22,8 +32,15 @@ from numbers import Integral
 
 import numpy as np
 
-from .basis import BasisStack, empty_stack, orthogonalize, warmstart_candidates
-from .flowmap import ModelSpec, check_truncation, fill_germs
+from .basis import (
+    BasisStack,
+    aligned_empty,
+    empty_stack,
+    orthogonalize,
+    stack_rows,
+    warmstart_candidates,
+)
+from .flowmap import ModelSpec, check_truncation, fill_germs, germ_scratch_rows
 from .measures import Distribution, build_quadrature
 
 
@@ -41,6 +58,12 @@ MAX_STEPS = 10**9
 # moments pass through on their way to ``run_elements``'s ``reduce``, summed
 # over the batches of a run.
 _BLOCK_BYTES = 1 << 18
+
+# Bytes of flow-driven basis values and projector that one element block
+# streams through every Gram-Schmidt candidate and RK4 stage: a core's 2 MiB
+# L2 cache. Larger batches are stepped in blocks of near-equal sizes, also
+# on a warm-start basis, which runs for a short first interval only.
+_ELEMENT_BLOCK_BYTES = 1 << 21
 
 
 def step_count(duration: float, dt: float, what: str = "duration") -> int:
@@ -128,24 +151,19 @@ class LocalSeries:
     max_orthogonality_residual: float | None
 
 
-def _raise_if_not_finite(per_element, message: str, t: float, ids) -> None:
-    """Raise for the lowest element id whose slice of an (E, ...) array is not finite.
+def _lowest_not_finite(per_element: np.ndarray, ids) -> int | None:
+    """The lowest element id whose slice of an (E, ...) array is not finite.
 
     Callers screen with one cheap sum first and come here only when it is
     not finite.
     """
     bad = ~np.isfinite(per_element.reshape(len(ids), -1)).all(axis=1)
-    if bad.any():
-        raise NumericalBlowup(message, t, int(ids[bad].min()))
+    return int(ids[bad].min()) if bad.any() else None
 
 
-def _rebuild(model, t, nodes, rows, weights, flow: BasisStack) -> BasisStack:
-    """Rebuild the basis in ``flow`` from the germs of (n, E*Q) state ``rows``,
-    writing its candidates (the constant, then the germs) into ``flow.values``."""
-    values = flow.values.transpose(1, 0, 2)
-    values[0] = 1.0
-    fill_germs(model, t, nodes, rows, values[1:].reshape(len(values) - 1, -1))
-    return orthogonalize(flow.values, weights, work=flow)
+def _rows(values: np.ndarray) -> np.ndarray:
+    """(k, E, Q) ``values`` read as (k, E*Q) rows, as a view."""
+    return np.reshape(values, (len(values), -1), copy=False)
 
 
 def _transfer(values, basis: BasisStack, t, ids, events, modes) -> None:
@@ -165,31 +183,126 @@ def _transfer(values, basis: BasisStack, t, ids, events, modes) -> None:
         events[e].append(FallbackEvent(t, int(ids[e]), "state germ dropped"))
 
 
-def _galerkin_rhs(model, basis: BasisStack, ids, state: np.ndarray):
+class _GalerkinRHS:
     """``rhs(t, nodes, modes, *, out)`` of (E, n, m) modes on ``basis``.
 
     It evaluates the modes into ``state``, (n, E, Q) and read by the model as
     (n, E*Q) rows, and writes the modes of the model's derivative into
-    ``out``; a companion model's shifted components keep their modes.
+    ``out``; a companion model's shifted components keep their modes. The
+    model writes that derivative into ``derivs``, (1, E, Q) for a companion
+    model and shaped like ``state`` otherwise; a companion model's chain
+    gets ``scratch``. ``calls`` counts the calls, so that a blow-up can be
+    placed in its RK4 stage.
     """
-    rows = state.reshape(state.shape[0], -1)
-    at_nodes = state.transpose(1, 0, 2)
-    derivs = np.empty_like(state[:1] if model.companion else state)
-    derivs_rows = derivs.reshape(len(derivs), -1)
 
-    def rhs(t, nodes, modes, *, out):
-        np.matmul(modes, basis.values, out=at_nodes)
-        if not isfinite(float(rows.sum())):
-            _raise_if_not_finite(at_nodes, "non-finite state values", t, ids)
+    def __init__(self, model, basis: BasisStack, ids, state, derivs, scratch):
+        self.model = model
+        self.basis = basis
+        self.ids = ids
+        self.rows = _rows(state)
+        self.at_nodes = state.transpose(1, 0, 2)
+        self.derivs = derivs.transpose(1, 0, 2)
+        self.derivs_rows = _rows(derivs)
+        self.scratch = scratch
+        self.calls = 0
+
+    def __call__(self, t, nodes, modes, *, out):
+        self.calls += 1
+        model, basis = self.model, self.basis
+        np.matmul(modes, basis.values, out=self.at_nodes)
+        if not isfinite(float(self.rows.sum())):
+            bad = _lowest_not_finite(self.at_nodes, self.ids)
+            if bad is not None:
+                raise NumericalBlowup("non-finite state values", t, bad)
         if model.companion:
-            model.derivative_chain(t, nodes, rows, 0, out=derivs_rows)
+            model.derivative_chain(
+                t, nodes, self.rows, 0, out=self.derivs_rows, scratch=self.scratch
+            )
             out[:, :-1] = modes[:, 1:]
             out = out[:, -1:]
         else:
-            model.rhs(t, nodes, rows, out=derivs_rows)
-        np.matmul(derivs.transpose(1, 0, 2), basis.projector, out=out)
+            model.rhs(t, nodes, self.rows, out=self.derivs_rows)
+        np.matmul(self.derivs, basis.projector, out=out)
 
-    return rhs
+
+class _Block:
+    """The elements ``span`` of a batch, stepped together: views of the
+    batch's workspace cut along the element axis, built once per batch.
+
+    A cut along the element axis keeps each array's inner strides, so every
+    matmul makes the same BLAS call per element as on the whole batch, and
+    each element keeps its bits.
+    """
+
+    def __init__(self, model, span: slice, ids, nodes, weights, state, derivs, scratch,
+                 flow: BasisStack, events):
+        q = weights.shape[1]
+        nodes_span = slice(span.start * q, span.stop * q)
+        self.model = model
+        self.span = span
+        self.ids = ids[span]
+        self.nodes = nodes[nodes_span]
+        self.weights = weights[span]
+        self.state = state[:, span]
+        self.rows = _rows(self.state)
+        self.at_nodes = self.state.transpose(1, 0, 2)
+        self.derivs = derivs[:, span]
+        self.scratch = scratch[:, nodes_span]
+        self.flow = stack_rows(flow, span)
+        candidates = self.flow.values.transpose(1, 0, 2)
+        self.constant, self.germs = candidates[0], _rows(candidates[1:])
+        self.events = events[span]
+
+    def use(self, basis: BasisStack, modes, work) -> None:
+        """Step this block's rows of the batch's ``modes`` on its rows of
+        ``basis``, with its rows of the RK4 ``work``."""
+        self.basis = stack_rows(basis, self.span)
+        self.modes = modes[self.span]
+        self.work = [stage[self.span] for stage in work]
+        chain_scratch = self.scratch[len(self.scratch) - self.model.chain_scratch_rows :]
+        self.rhs = _GalerkinRHS(
+            self.model, self.basis, self.ids, self.state, self.derivs, chain_scratch
+        )
+
+    def rebuild(self, t: float) -> None:
+        """Rebuild the flow-driven basis from the germs of the state values,
+        writing its candidates (the constant, then the germs) into its values."""
+        self.constant[...] = 1.0
+        fill_germs(self.model, t, self.nodes, self.rows, self.germs, scratch=self.scratch)
+        self.basis = orthogonalize(self.flow.values, self.weights, work=self.flow)
+
+    def evaluate(self) -> None:
+        """Evaluate the modes at the nodes into the state values."""
+        np.matmul(self.modes, self.basis.values, out=self.at_nodes)
+
+    def transfer(self, t: float) -> None:
+        _transfer(self.at_nodes, self.basis, t, self.ids, self.events, self.modes)
+
+    def step(self, t: float, dt: float):
+        """One RK4 step of the modes in place.
+
+        Returns None, or the first screen that found a non-finite value as
+        (stage, element id, NumericalBlowup): stages 1-4 screen the RK4
+        stages' state values, stage 5 the modes after the step.
+        """
+        rhs = self.rhs
+        rhs.calls = 0
+        try:
+            rk4_step(rhs, t, dt, self.nodes, self.modes, self.work)
+        except NumericalBlowup as blowup:
+            return rhs.calls, blowup.element_id, blowup
+        if not isfinite(float(self.modes.sum())):
+            bad = _lowest_not_finite(self.modes, self.ids)
+            if bad is not None:
+                return 5, bad, NumericalBlowup("non-finite modes after step", t + dt, bad)
+        return None
+
+
+def _element_blocks(n_el: int, element_bytes: int) -> list[slice]:
+    """Split ``n_el`` elements into the fewest runs, of near-equal sizes, whose
+    bases of ``element_bytes`` each fit in ``_ELEMENT_BLOCK_BYTES``."""
+    count = -(-n_el // max(1, _ELEMENT_BLOCK_BYTES // element_bytes))
+    return [slice(n_el * k // count, n_el * (k + 1) // count) for k in range(count)]
 
 
 def rk4_step(rhs, t: float, dt: float, nodes, y: np.ndarray, work) -> None:
@@ -264,6 +377,12 @@ def run_elements(
     ``block_elements`` elements (default: this batch's), so batches of one
     run that pass the run's element count share block boundaries.
 
+    The time loop steps the batch one element block at a time (see the
+    module docstring): each block is rebuilt, transferred and stepped before
+    the next starts. A blow-up is reported as for one block: the earliest
+    screen (an RK4 stage, then the modes after the step) that finds a
+    non-finite value, and the lowest element id it finds there.
+
     Returns one :class:`LocalSeries` per box, in order; ``element_ids`` name
     the boxes in fallback events and blow-up reports. With a warm start the
     basis is a fixed polynomial chaos until the given duration, after which
@@ -284,12 +403,15 @@ def run_elements(
     n_steps = step_count(duration, dt)
     times = np.arange(n_steps + 1) * dt
     # The batch's workspace, reused at every step: the state at the nodes,
-    # (n, E, Q) and (n, E*Q) rows for the models, and the flow-driven basis.
-    state = np.empty((n, n_el, weights.shape[1]))
-    rows = state.reshape(n, -1)
-    rows[...] = model.initial_state(nodes)
-    at_nodes = state.transpose(1, 0, 2)
-    flow = empty_stack(n_el, truncation + 1, weights.shape[1])
+    # (n, E, Q) and (n, E*Q) rows for the models, the model's derivative,
+    # the germ scratch and the flow-driven basis.
+    q = weights.shape[1]
+    state = aligned_empty((n, n_el, q))
+    _rows(state)[...] = model.initial_state(nodes)
+    derivs = aligned_empty((1 if model.companion else n, n_el, q))
+    scratch = aligned_empty((germ_scratch_rows(model, truncation), n_el * q))
+    flow = empty_stack(n_el, truncation + 1, q)
+    events: list[list[FallbackEvent]] = [[] for _ in range(n_el)]
 
     warm_steps = 0
     if warmstart is not None and warmstart.duration > 0:
@@ -298,11 +420,19 @@ def run_elements(
             np.stack([warmstart_candidates(g, warmstart.degree) for g in grids]), weights
         )
     else:
-        basis = _rebuild(model, 0.0, nodes, rows, weights, flow)
+        basis = flow
     del grids
+    blocks = [
+        _Block(model, span, ids, nodes, weights, state, derivs, scratch, flow, events)
+        for span in _element_blocks(n_el, 16 * (truncation + 1) * q)
+    ]
+    if basis is flow:
+        for block in blocks:
+            block.rebuild(0.0)
     modes, *work = np.empty((6, n_el, n, basis.values.shape[1]))
-    rhs = _galerkin_rhs(model, basis, ids, state)
-    np.matmul(at_nodes, basis.projector, out=modes)
+    np.matmul(state.transpose(1, 0, 2), basis.projector, out=modes)
+    for block in blocks:
+        block.use(basis, modes, work)
 
     per_step = 16 * (block_elements or n_el) * n
     width = min(n_steps + 1, max(1, _BLOCK_BYTES // per_step))
@@ -319,32 +449,47 @@ def run_elements(
             reduce(start, mean[:, :, : col + 1], variance[:, :, : col + 1])
             start = step + 1
 
-    events: list[list[FallbackEvent]] = [[] for _ in range(n_el)]
     max_residual = np.zeros(n_el) if audit_orthogonality else None
     record(0, modes, basis)
 
     rebuild_from = warm_steps if warm_steps else 1
     t = 0.0
     for i in range(n_steps):
-        if i >= rebuild_from:
-            np.matmul(modes, basis.values, out=at_nodes)
-            basis = _rebuild(model, t, nodes, rows, weights, flow)
-            if i == warm_steps and warm_steps:
-                alone = basis.kept.sum(axis=1) == 1
-                if alone.any():
-                    raise NumericalBlowup(
-                        "all germs degenerate after warm start", t, int(ids[alone].min())
-                    )
-                modes, *work = np.empty((6, n_el, n, truncation + 1))
-                rhs = _galerkin_rhs(model, basis, ids, state)
-            _transfer(at_nodes, basis, t, ids, events, modes)
-            if audit_orthogonality:
-                np.maximum(
-                    max_residual, _max_offdiag_residual(basis, weights), out=max_residual
+        rebuild = i >= rebuild_from
+        handover = rebuild and i == warm_steps
+        if handover:
+            # The hand-over check is batch-wide, so every block is rebuilt
+            # before any is stepped.
+            for block in blocks:
+                block.evaluate()
+                block.rebuild(t)
+            alone = flow.kept.sum(axis=1) == 1
+            if alone.any():
+                raise NumericalBlowup(
+                    "all germs degenerate after warm start", t, int(ids[alone].min())
                 )
-        rk4_step(rhs, t, dt, nodes, modes, work)
-        if not isfinite(float(modes.sum())):
-            _raise_if_not_finite(modes, "non-finite modes after step", t + dt, ids)
+            basis = flow
+            modes, *work = np.empty((6, n_el, n, truncation + 1))
+            for block in blocks:
+                block.use(basis, modes, work)
+        # Each block is rebuilt, transferred and stepped before the next
+        # starts. A blow-up is raised once every block has stepped, for the
+        # earliest screen and, at that screen, the lowest element id: what
+        # stepping the batch as one block reports.
+        first = None
+        for block in blocks:
+            if rebuild:
+                if not handover:
+                    block.evaluate()
+                    block.rebuild(t)
+                block.transfer(t)
+            found = block.step(t, dt)
+            if found is not None and (first is None or found[:2] < first[:2]):
+                first = found
+        if first is not None:
+            raise first[2]
+        if rebuild and audit_orthogonality:
+            np.maximum(max_residual, _max_offdiag_residual(basis, weights), out=max_residual)
         t = times[i + 1]
         record(i + 1, modes, basis)
 

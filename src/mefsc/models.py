@@ -27,7 +27,7 @@ def _osc_rhs(t, nodes, state, *, out):
     return out
 
 
-def _osc_chain(t, nodes, state, order, *, out):
+def _osc_chain(t, nodes, state, order, *, out, scratch):
     d0, d1 = state[0], state[1]
     for level in out:
         d0, d1 = d1, np.multiply(-(nodes[:, 0] / _OSC_MASS), d0, out=level)
@@ -61,7 +61,7 @@ def _third_rhs(t, nodes, state, *, out):
     return out
 
 
-def _third_chain(t, nodes, state, order, *, out):
+def _third_chain(t, nodes, state, order, *, out, scratch):
     d0, d1, d2 = state[0], state[1], state[2]
     for level in out:
         d0, d1, d2 = d1, d2, np.negative(0.5 * d2 + nodes[:, 0] * d1 + d0, out=level)
@@ -101,7 +101,7 @@ def _vdp_rhs(t, nodes, state, *, out):
     return out
 
 
-def _vdp_chain(t, nodes, state, order, *, out):
+def _vdp_chain(t, nodes, state, order, *, out, scratch):
     # D^{m+2} u = (c/m) sum_i C(m,i) g_i D^{m-i+1} u - (k/m) D^m u, where
     # g_i is the i-th derivative of (1 - rho u^2), itself a Leibniz sum.
     c = nodes[:, 0] / _VDP_MASS
@@ -134,14 +134,14 @@ vanderpol = ModelSpec(
 )
 
 
-def _ko_chain(t, nodes, state, order, *, out):
+def _ko_chain(t, nodes, state, order, *, out, scratch):
     # Leibniz on the quadratic couplings: with a=D^i u1, b=D^i u2, e=D^i u3,
     #   a_{j+1} =  sum_i C(j,i) a_i e_{j-i}
     #   b_{j+1} = -sum_i C(j,i) b_i e_{j-i}
     #   e_{j+1} =  sum_i C(j,i) (b_i b_{j-i} - a_i a_{j-i})
     # Each sum is accumulated in place from 0, term by term, as sum() adds
-    # fresh arrays; two scratch rows hold the terms.
-    term, other = np.empty((2, state.shape[1]))
+    # fresh arrays; the two scratch rows hold the terms.
+    term, other = scratch
     d = [state, *np.split(out, order + 1)]
     for j in range(order + 1):
         sums = d[j + 1]
@@ -185,6 +185,7 @@ kraichnan_orszag = ModelSpec(
     rhs=_ko_rhs,
     derivative_chain=_ko_chain,
     initial_state=_ko_init,
+    chain_scratch_rows=2,
 )
 
 

@@ -13,8 +13,8 @@ from unittest import mock
 import numpy as np
 
 from mefsc import fsc_element, models
-from mefsc.flowmap import fill_germs
-from mefsc.fsc_element import _galerkin_rhs, _transfer, rk4_step
+from mefsc.flowmap import fill_germs, germ_scratch_rows
+from mefsc.fsc_element import _GalerkinRHS, _transfer, rk4_step
 
 
 def stored_run(*args, **kwargs):
@@ -67,7 +67,8 @@ def germ_candidates(model, t, rows, nodes, truncation):
     the germs of its (n, Q) state rows."""
     cands = np.empty((truncation + 1, rows.shape[1]))
     cands[0] = 1.0
-    fill_germs(model, t, nodes, rows, cands[1:])
+    scratch = np.empty((germ_scratch_rows(model, truncation), rows.shape[1]))
+    fill_germs(model, t, nodes, rows, cands[1:], scratch=scratch)
     return cands[None]
 
 
@@ -85,7 +86,9 @@ def transfer(values, basis, t, ids, events):
 def _rhs_on(modes, basis, model, ids):
     n_el, n, _ = modes.shape
     state = np.empty((n, n_el, basis.values.shape[2]))
-    return _galerkin_rhs(model, basis, ids, state)
+    derivs = np.empty_like(state[:1] if model.companion else state)
+    scratch = np.empty((model.chain_scratch_rows, state[0].size))
+    return _GalerkinRHS(model, basis, ids, state, derivs, scratch)
 
 
 def galerkin_rhs(t, modes, basis, model, nodes, ids):

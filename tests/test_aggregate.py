@@ -224,28 +224,33 @@ def time_limit(seconds: int):
 
 
 @pytest.mark.parametrize(
-    "unstable,named,n_elements,workers,block_steps",
+    "unstable,named,n_elements,workers,block_steps,element_blocks",
     [
-        pytest.param((1, 2, 3), 1, 4, 2, None, id="unstable0-1"),
-        pytest.param((2, 3), 2, 4, 2, None, id="unstable1-2"),
-        pytest.param((1,), 1, 4, 2, None, id="parent-range"),
-        pytest.param((1,), 1, 4, 2, 2, id="parent-range-small-blocks"),
-        pytest.param((2, 3), 2, 4, 2, 2, id="worker-range-small-blocks"),
-        pytest.param((1, 2, 3), 1, 4, 2, 2, id="both-ranges-small-blocks"),
-        pytest.param((3, 5), 3, 6, 3, None, id="two-worker-ranges"),
-        pytest.param((3, 5), 3, 6, 3, 2, id="two-worker-ranges-small-blocks"),
-        pytest.param((5,), 5, 6, 3, 2, id="last-worker-range-small-blocks"),
+        pytest.param((1, 2, 3), 1, 4, 2, None, False, id="unstable0-1"),
+        pytest.param((2, 3), 2, 4, 2, None, False, id="unstable1-2"),
+        pytest.param((1,), 1, 4, 2, None, False, id="parent-range"),
+        pytest.param((1,), 1, 4, 2, 2, False, id="parent-range-small-blocks"),
+        pytest.param((2, 3), 2, 4, 2, 2, False, id="worker-range-small-blocks"),
+        pytest.param((1, 2, 3), 1, 4, 2, 2, False, id="both-ranges-small-blocks"),
+        pytest.param((3, 5), 3, 6, 3, None, False, id="two-worker-ranges"),
+        pytest.param((3, 5), 3, 6, 3, 2, False, id="two-worker-ranges-small-blocks"),
+        pytest.param((5,), 5, 6, 3, 2, False, id="last-worker-range-small-blocks"),
+        pytest.param((1, 2, 3), 1, 4, 2, None, True, id="unstable0-1-element-blocks"),
+        pytest.param((2, 3), 2, 4, 2, 2, True, id="worker-range-element-blocks"),
+        pytest.param((3, 5), 3, 6, 3, None, True, id="two-worker-ranges-element-blocks"),
     ],
 )
 def test_pool_blowup_names_lowest_offending_element(
-    monkeypatch, unstable, named, n_elements, workers, block_steps
+    monkeypatch, unstable, named, n_elements, workers, block_steps, element_blocks
 ):
     # With dt = 1 RK4 keeps stiffness 340-460 bounded and blows up stiffness
     # 3000-3600 (test_batch_blowup_names_lowest_offending_element). The
     # workers split the elements into contiguous ranges; the parent solves
     # the first and forked workers the rest. With blocks of two steps every
     # failing range has sent blocks before it raises, and the batches after
-    # a failing one are stopped.
+    # a failing one are stopped. With element blocks the batches step their
+    # elements one at a time too, and must report what they report stepping
+    # them together.
     if block_steps is not None:
         monkeypatch.setattr(
             fsc_element, "_BLOCK_BYTES", block_bytes(block_steps, n_elements, 2)
@@ -263,12 +268,20 @@ def test_pool_blowup_names_lowest_offending_element(
     config = SolverConfig(
         OSC, dists, (n_elements,), 4, dt=1.0, duration=1000.0, workers=workers
     )
-    with np.errstate(over="ignore", invalid="ignore"), time_limit(60):
-        with pytest.raises(NumericalBlowup) as info:
-            run_me_fsc(config)
-    assert info.value.element_id == named
-    assert info.value.t > 0.0
-    assert multiprocessing.active_children() == []
+
+    def blowup():
+        with np.errstate(over="ignore", invalid="ignore"), time_limit(60):
+            with pytest.raises(NumericalBlowup) as info:
+                run_me_fsc(config)
+        assert multiprocessing.active_children() == []
+        return str(info.value), info.value.t, info.value.element_id
+
+    found = blowup()
+    assert found[2] == named
+    assert found[1] > 0.0
+    if element_blocks:
+        monkeypatch.setattr(fsc_element, "_ELEMENT_BLOCK_BYTES", 1)
+        assert blowup() == found
 
 
 def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
@@ -278,20 +291,15 @@ def test_parent_failure_frees_a_worker_blocked_on_a_full_pipe(monkeypatch):
     # first block. The parent must kill the blocked worker and reap it rather
     # than wait for it to finish sending, or the solve never returns.
     parent = os.getpid()
-    galerkin_rhs = fsc_element._galerkin_rhs
 
-    def stalling_galerkin_rhs(model, basis, ids, state):
-        rhs = galerkin_rhs(model, basis, ids, state)
-
-        def stalling_rhs(t, nodes, modes, *, out):
+    class StallingRHS(fsc_element._GalerkinRHS):
+        def __call__(self, t, nodes, modes, *, out):
             if os.getpid() == parent and t >= 100.0:
                 time.sleep(0.5)
-                raise NumericalBlowup("stalled", t, int(ids[0]))
-            rhs(t, nodes, modes, out=out)
+                raise NumericalBlowup("stalled", t, int(self.ids[0]))
+            super().__call__(t, nodes, modes, out=out)
 
-        return stalling_rhs
-
-    monkeypatch.setattr(fsc_element, "_galerkin_rhs", stalling_galerkin_rhs)
+    monkeypatch.setattr(fsc_element, "_GalerkinRHS", StallingRHS)
     config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
     with time_limit(60):
         with pytest.raises(NumericalBlowup, match="stalled") as info:
@@ -304,19 +312,14 @@ def test_worker_killed_mid_solve_is_reported(monkeypatch):
     # The worker's batch kills itself at t = 50; the parent's range runs on
     # to the end, and the solve then reports how the worker died.
     parent = os.getpid()
-    galerkin_rhs = fsc_element._galerkin_rhs
 
-    def dying_galerkin_rhs(model, basis, ids, state):
-        rhs = galerkin_rhs(model, basis, ids, state)
-
-        def dying_rhs(t, nodes, modes, *, out):
+    class DyingRHS(fsc_element._GalerkinRHS):
+        def __call__(self, t, nodes, modes, *, out):
             if os.getpid() != parent and t >= 50.0:
                 os.kill(os.getpid(), signal.SIGKILL)
-            rhs(t, nodes, modes, out=out)
+            super().__call__(t, nodes, modes, out=out)
 
-        return dying_rhs
-
-    monkeypatch.setattr(fsc_element, "_galerkin_rhs", dying_galerkin_rhs)
+    monkeypatch.setattr(fsc_element, "_GalerkinRHS", DyingRHS)
     config = SolverConfig(OSC, P1_DIST, (256,), 4, dt=1.0, duration=1000.0, workers=2)
     with time_limit(60):
         with pytest.raises(RuntimeError, match=r"died \(exit code -9\)"):

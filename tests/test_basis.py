@@ -6,7 +6,13 @@ from numpy.polynomial.legendre import legval
 from scipy.linalg import solve_triangular
 
 from mefsc import Distribution, build_quadrature
-from mefsc.basis import empty_stack, orthogonalize, warmstart_candidates
+from mefsc.basis import (
+    ALIGN_FROM_BYTES,
+    aligned_empty,
+    empty_stack,
+    orthogonalize,
+    warmstart_candidates,
+)
 
 
 def unit_grid(points=10):
@@ -257,3 +263,27 @@ def test_random_candidates_yield_orthogonal_sets():
         scale = np.sqrt(np.outer(norms, norms))
         off = gram / scale - np.eye(len(norms))
         assert np.max(np.abs(off)) < 1e-10
+
+
+def test_aligned_arrays_start_on_cache_lines():
+    # numpy promises 16 bytes; the helper must give 64 to every array of at
+    # least ALIGN_FROM_BYTES, whatever the heap held before, so interleave
+    # allocations of odd sizes.
+    kept = []
+    for shape, dtype in [
+        ((16384,), float), ((131072,), np.uint8), ((3, 50000), float),
+        ((2, 3, 10001), float), ((140001,), bool), ((6, 9000), np.int32),
+    ]:
+        kept.append(np.empty(13, dtype=np.uint8))
+        a = aligned_empty(shape, dtype)
+        assert a.nbytes >= ALIGN_FROM_BYTES
+        assert a.shape == shape and a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert a.ctypes.data % 64 == 0
+        kept.append(a)
+    # The three-mode workload's worker batches and blocks, and the
+    # oscillator's batch of 512 elements.
+    for n_el, m, q in [(32, 7, 1000), (16, 7, 1000), (512, 5, 10)]:
+        stack = empty_stack(n_el, m, q)
+        for view in (stack.values, stack.projector):
+            assert view.ctypes.data % 64 == 0

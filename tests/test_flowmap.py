@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mefsc import MODELS, Distribution, ModelSpec, build_quadrature
-from mefsc.flowmap import check_truncation, fill_germs
+from mefsc.flowmap import check_truncation, fill_germs, germ_scratch_rows
 from stepping import stacked_rhs
 
 OSC = MODELS["oscillator"]
@@ -22,9 +22,22 @@ def point_grid(*centers):
     return build_quadrature(box, dists, points_per_axis=1)
 
 
+def germ_scratch(model, rows, nodes):
+    """NaN-filled scratch for fill_germs to fill ``rows`` germ rows at ``nodes``
+    nodes."""
+    return np.full((germ_scratch_rows(model, rows), nodes), np.nan)
+
+
+def chain_scratch(model, nodes):
+    """NaN-filled scratch for the model's derivative chain at ``nodes`` nodes."""
+    return np.full((model.chain_scratch_rows, nodes), np.nan)
+
+
 def germ_rows(model, t, state, grid, count):
     rows = np.empty((count, grid.n_nodes))
-    fill_germs(model, t, grid.nodes, state, rows)
+    fill_germs(
+        model, t, grid.nodes, state, rows, scratch=germ_scratch(model, count, grid.n_nodes)
+    )
     return rows
 
 
@@ -33,7 +46,9 @@ def full_chain(model, t, nodes, state, order):
     into a NaN-filled array of whole levels."""
     rows = 1 if model.companion else model.state_dim
     out = np.full(((order + 1) * rows, state.shape[1]), np.nan)
-    return model.derivative_chain(t, nodes, state, order, out=out)
+    return model.derivative_chain(
+        t, nodes, state, order, out=out, scratch=chain_scratch(model, state.shape[1])
+    )
 
 
 def test_oscillator_germs_at_known_state():
@@ -121,7 +136,8 @@ def test_chain_levels_match_shorter_chains(model, centers):
     rows = 1 if model.companion else model.state_dim
     for k in range(5):
         out = np.full(((k + 1) * rows, 7), np.nan)
-        assert model.derivative_chain(0.0, nodes, state, k, out=out) is out
+        scratch = chain_scratch(model, 7)
+        assert model.derivative_chain(0.0, nodes, state, k, out=out, scratch=scratch) is out
         assert not np.isnan(out).any()
         for j in range(k + 1):
             alone = full_chain(model, 0.0, nodes, state, j)
@@ -193,8 +209,8 @@ def test_germs_cut_inside_a_level_are_leading_rows(rows):
     state = rng.uniform(-0.5, 0.5, size=(3, 7))
     state[:, 0] = 0.0
     cut, full = np.full((rows, 7), np.nan), np.full((9, 7), np.nan)
-    fill_germs(KO, 0.0, nodes, state, cut)
-    fill_germs(KO, 0.0, nodes, state, full)
+    fill_germs(KO, 0.0, nodes, state, cut, scratch=germ_scratch(KO, rows, 7))
+    fill_germs(KO, 0.0, nodes, state, full, scratch=germ_scratch(KO, 9, 7))
     assert np.array_equal(cut, full[:rows])
     assert np.array_equal(np.signbit(cut), np.signbit(full[:rows]))
 

@@ -261,18 +261,50 @@ def test_unstable_step_raises_blowup():
     assert info.value.t > 0.0
 
 
-def test_batch_results_do_not_depend_on_batch_members():
-    # The third-order model drops derivative germs in some elements at some
-    # steps and not in others, so this batch runs with masked basis rows.
-    dists = (Distribution.uniform(2.0, 3.0),)
-    part = partition_random_domain(dists, (4,))
-    args = (dists, THIRD, 5, 1e-3, 1.5, WarmStart(7, 1.0))
-    batch, means, variances = stored_run(
-        part.boxes, range(4), *args, audit_orthogonality=True
-    )
+# Batches whose elements drop germs at different steps: third-order with a
+# hand-over from its warm start, three-mode at a truncation that cuts a
+# derivative level, and Van der Pol; the last two as in
+# test_aggregate.WORKER_COUNT_CASES.
+BATCH_CASES = {
+    "third_order": (
+        (Distribution.uniform(2.0, 3.0),), (4,), THIRD, 5, 1e-3, 1.5, WarmStart(7, 1.0), 10
+    ),
+    "kraichnan_orszag_truncation5": (
+        tuple(Distribution.uniform(-1.0, 1.0) for _ in range(3)),
+        (2, 2, 1), KO, 5, 5e-3, 0.1, None, 4,
+    ),
+    "vanderpol": (
+        (Distribution.uniform(150.0, 450.0), Distribution.beta(2.0, 5.0, 340.0, 460.0)),
+        (3, 2), MODELS["vanderpol"], 4, 5e-3, 0.1, WarmStart(9, 0.05), 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_CASES)
+def test_batch_results_do_not_depend_on_batch_members(monkeypatch, name):
+    # An element's bits must not depend on which elements share its batch,
+    # nor on the blocks the batch is stepped in: the batch is run in one
+    # block, in blocks of one element, and each element alone.
+    dists, counts, model, truncation, dt, duration, warmstart, points = BATCH_CASES[name]
+    part = partition_random_domain(dists, counts)
+    ids = range(len(part.boxes))
+    args = (dists, model, truncation, dt, duration, warmstart, points)
+    audit = {"audit_orthogonality": True}
+    batch, means, variances = stored_run(part.boxes, ids, *args, **audit)
+    with monkeypatch.context() as patch:
+        patch.setattr(fsc_element, "_ELEMENT_BLOCK_BYTES", 1)
+        blocked, blocked_means, blocked_variances = stored_run(
+            part.boxes, ids, *args, **audit
+        )
+    assert np.array_equal(means, blocked_means)
+    assert np.array_equal(variances, blocked_variances)
     for e, together in enumerate(batch):
+        assert blocked[e].fallback_events == together.fallback_events
+        assert (
+            blocked[e].max_orthogonality_residual == together.max_orthogonality_residual
+        )
         (alone,), (mean,), (variance,) = stored_run(
-            part.boxes[e : e + 1], [e], *args, audit_orthogonality=True
+            part.boxes[e : e + 1], [e], *args, **audit
         )
         assert np.array_equal(means[e], mean)
         assert np.array_equal(variances[e], variance)
@@ -280,29 +312,46 @@ def test_batch_results_do_not_depend_on_batch_members():
         assert together.max_orthogonality_residual < 1e-10
 
 
-def test_batch_blowup_names_lowest_offending_element():
+# Budgets of the element blocks: the default, one block per batch here, and
+# blocks of one element.
+BLOCK_BUDGETS = (fsc_element._ELEMENT_BLOCK_BYTES, 1)
+
+
+def test_batch_blowup_names_lowest_offending_element(monkeypatch):
     # With dt = 1 RK4 is stable for stiffness up to about 800 (omega*dt < 2.8)
     # and diverges for stiffness above 3000, so only elements 7 and 5 blow up.
+    # Stepped in blocks of one, they must be reported as in one block.
     dists = (Distribution.uniform(340.0, 3600.0),)
     boxes = [[[3000.0, 3600.0]], [[340.0, 460.0]], [[3000.0, 3600.0]]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalBlowup) as info:
-            stored_run(boxes, [7, 3, 5], dists, OSC, 4, 1.0, 1000.0)
-    assert info.value.element_id == 5
-    assert info.value.t > 0.0
+    reports = []
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(fsc_element, "_ELEMENT_BLOCK_BYTES", budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalBlowup) as info:
+                stored_run(boxes, [7, 3, 5], dists, OSC, 4, 1.0, 1000.0)
+        reports.append((str(info.value), info.value.t, info.value.element_id))
+    assert reports[0][2] == 5
+    assert reports[0][1] > 0.0
+    assert reports[1] == reports[0]
     _, stable_mean, _ = stored_run(boxes[1:2], [3], dists, OSC, 4, 1.0, 1000.0)
     assert np.all(np.isfinite(stable_mean))
 
 
-def test_degenerate_germs_after_warm_start_raise():
+def test_degenerate_germs_after_warm_start_raise(monkeypatch):
     # Constant-only warm basis plus a practically deterministic parameter:
-    # at the hand-over there is no germ left to build a basis from.
+    # at the hand-over there is no germ left to build a basis from. The
+    # second element is one too; the check is batch-wide, so it names the
+    # lowest id whatever the blocks.
     half = 5e-13
     box = [[400.0 - half, 400.0 + half]]
     dists = (Distribution.uniform(400.0 - half, 400.0 + half),)
-    with pytest.raises(NumericalBlowup) as info:
-        stored_run([box], [0], dists, OSC, 4, 1e-3, 1.0, WarmStart(0, 0.5))
-    assert "degenerate" in str(info.value)
+    for budget in BLOCK_BUDGETS:
+        monkeypatch.setattr(fsc_element, "_ELEMENT_BLOCK_BYTES", budget)
+        with pytest.raises(NumericalBlowup) as info:
+            stored_run([box, box], [4, 2], dists, OSC, 4, 1e-3, 1.0, WarmStart(0, 0.5))
+        assert "degenerate" in str(info.value)
+        assert info.value.element_id == 2
+        assert info.value.t == 0.5
 
 
 def test_rebuild_basis_deterministic(warm_oscillator):

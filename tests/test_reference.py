@@ -429,3 +429,15 @@ def test_mc_rejects_partial_step_horizon(duration):
 def test_mc_accepts_rounded_whole_horizon():
     series = monte_carlo_moments(OSC, (UNIFORM_K,), 10, 1e-3, 1200 * 1e-3, seed=1)
     assert series.times.size == 1201
+
+
+@pytest.mark.parametrize("size", [8192, 40000, 50000, 120000])
+def test_rk4_work_arrays_start_on_cache_lines(size):
+    # Batch sizes of the oracles: a 200^2 quasi-exact grid and Monte Carlo
+    # batches, whole or partial. Every chunk's stages start on a line.
+    states = reference._initial_states(MODELS["kraichnan_orszag"], np.zeros((size, 3)))
+    assert states.ctypes.data % 64 == 0
+    for _, _, work in reference._rk4_chunks(np.zeros((size, 3)), states):
+        assert len(work) == 5
+        for stage in work:
+            assert stage.ctypes.data % 64 == 0
