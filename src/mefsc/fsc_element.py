@@ -163,7 +163,7 @@ def _lowest_not_finite(per_element: np.ndarray, ids) -> int | None:
 
 def _rows(values: np.ndarray) -> np.ndarray:
     """(k, E, Q) ``values`` read as (k, E*Q) rows, as a view."""
-    return np.reshape(values, (len(values), -1), copy=False)
+    return values.reshape(len(values), -1)
 
 
 def _transfer(values, basis: BasisStack, t, ids, events, modes) -> None:
@@ -404,12 +404,16 @@ def run_elements(
     times = np.arange(n_steps + 1) * dt
     # The batch's workspace, reused at every step: the state at the nodes,
     # (n, E, Q) and (n, E*Q) rows for the models, the model's derivative,
-    # the germ scratch and the flow-driven basis.
+    # the germ scratch and the flow-driven basis. The state, the derivative
+    # and the basis start on cache lines: on the three-mode workload's
+    # one-worker solve, moving the basis 16 bytes off a line raised the
+    # median time by 6-19 % in three sets of 10-14 interleaved rounds, the
+    # derivative by 3-8 % and the state by -1 to 5 %; the scratch, 0 %.
     q = weights.shape[1]
     state = aligned_empty((n, n_el, q))
     _rows(state)[...] = model.initial_state(nodes)
     derivs = aligned_empty((1 if model.companion else n, n_el, q))
-    scratch = aligned_empty((germ_scratch_rows(model, truncation), n_el * q))
+    scratch = np.empty((germ_scratch_rows(model, truncation), n_el * q))
     flow = empty_stack(n_el, truncation + 1, q)
     events: list[list[FallbackEvent]] = [[] for _ in range(n_el)]
 

@@ -37,11 +37,13 @@ QUASI_EXACT_MAX_NODES = 10**6
 # 2 MB L2 cache for up to three state components. On a shared 2-core Xeon
 # host the three-mode Monte Carlo oracle (1e5 samples, 100 steps) took a
 # median 0.41 s in chunks of 8192 against 0.51 s in whole 50000-sample
-# batches, over six interleaved pairs of runs. The oracles' state, work and
-# centred arrays start on cache lines (basis.aligned_empty): on the same
-# host one RK4 step of a 50000-sample batch (7 chunks) took 0.78-0.82 ms
-# with the work array on a line and 1.08-1.13 ms with it 16 bytes past one,
-# whatever the state's offset (minimum of six interleaved rounds).
+# batches, over six interleaved pairs of runs. The work array starts on a
+# cache line (basis.aligned_empty): on the same host one RK4 step of a
+# 50000-sample batch (7 chunks) took 0.78-0.82 ms with it on a line and
+# 1.08-1.13 ms with it 16 bytes past one, whatever the state's offset
+# (minimum of six interleaved rounds). Aligning the state and deviation
+# arrays too did not move the 1e5-sample oracle (minima 0.222 against
+# 0.224 s over 14 interleaved rounds), so they stay plain.
 _RK4_CHUNK = 8192
 
 
@@ -113,13 +115,6 @@ def _full_domain_grid(distributions, points_per_axis):
     return build_quadrature(box, distributions, points_per_axis)
 
 
-def _initial_states(model: ModelSpec, nodes) -> np.ndarray:
-    """The model's (n, N) initial state at ``nodes``, in an aligned array."""
-    states = aligned_empty((model.state_dim, len(nodes)))
-    states[...] = model.initial_state(nodes)
-    return states
-
-
 def _rk4_chunks(nodes, states: np.ndarray) -> list[tuple]:
     """Chunks ``(nodes, states, work)`` of at most _RK4_CHUNK independent
     nodes, for :func:`rk4_step` to step in place: views of the caller's
@@ -174,9 +169,9 @@ def quasi_exact_moments(
     grid = _full_domain_grid(distributions, points_per_axis)
     nodes, w = grid.nodes, grid.weights
     n = model.state_dim
-    states = _initial_states(model, nodes)
+    states = np.array(model.initial_state(nodes), dtype=float)
     chunks = _rk4_chunks(nodes, states)
-    centered = aligned_empty(states.shape)
+    centered = np.empty_like(states)
     mean = np.empty((n, times.size))
     var = np.empty((n, times.size))
 
@@ -206,9 +201,9 @@ def _monte_carlo_batch(model: ModelSpec, params: np.ndarray, times: np.ndarray, 
     """Sample count, per-step mean and per-step sum of squared deviations of
     one Monte Carlo batch, integrated with RK4 steps of ``dt`` on ``times``."""
     n = model.state_dim
-    states = _initial_states(model, params)
+    states = np.array(model.initial_state(params), dtype=float)
     chunks = _rk4_chunks(params, states)
-    deviation = aligned_empty(states.shape)
+    deviation = np.empty_like(states)
     batch_mean = np.empty((n, times.size))
     batch_m2 = np.empty((n, times.size))
     for i in range(times.size):
