@@ -408,7 +408,8 @@ def run_elements(
     # and the basis start on cache lines: on the three-mode workload's
     # one-worker solve, moving the basis 16 bytes off a line raised the
     # median time by 6-19 % in three sets of 10-14 interleaved rounds, the
-    # derivative by 3-8 % and the state by -1 to 5 %; the scratch, 0 %.
+    # derivative by 3-8 % and the state by -1 to 5 %; the scratch by -3 to
+    # 3 %, so it stays plain.
     q = weights.shape[1]
     state = aligned_empty((n, n_el, q))
     _rows(state)[...] = model.initial_state(nodes)
