@@ -8,7 +8,7 @@ inner product, i.e. the element's conditional measure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -63,6 +63,10 @@ class BasisStack:
     at the nodes.
     ``coefficients`` is (E, m, m) and unit lower triangular: row i holds the
     summed coefficients of both Gram-Schmidt passes of candidate i.
+
+    The first :func:`orthogonalize` that works in a stack stores on it the
+    stack's Gram-Schmidt plan (:class:`_GramSchmidtPlan`), which every later
+    call in the same stack reuses.
     """
 
     values: np.ndarray
@@ -70,6 +74,62 @@ class BasisStack:
     squared_norms: np.ndarray
     kept: np.ndarray
     coefficients: np.ndarray
+    _plan: _GramSchmidtPlan | None = field(default=None, init=False, repr=False, compare=False)
+
+    def gram_schmidt_plan(self) -> _GramSchmidtPlan:
+        """This stack's plan, built at the first call."""
+        if self._plan is None:
+            self._plan = _GramSchmidtPlan(self)
+        return self._plan
+
+
+class _GramSchmidtPlan:
+    """What :func:`orthogonalize` needs of one stack besides its arithmetic:
+    candidate-major views of the stack's arrays, every per-candidate operand
+    and output view, and preallocated outputs with unit inner stride for both
+    passes' coefficients and the drop floor (the pre- and post-norms are
+    written into ``squared_norms``).
+
+    ``rows[i - 1]`` holds candidate i's views: its values row ``v`` and its
+    projector row ``vw`` (also as (E, 1, Q) rows and an (E, Q, 1) column),
+    the rows before it (``seen``, (E, i, Q)) and their projector columns
+    (``seen_proj``, (E, Q, i)), its pass outputs (E, 1, i), its norm as an
+    output and a column, its floor, its drop flags and its ``kept`` row.
+    ``passes`` holds both passes' coefficients, candidate-major; the first
+    pass's diagonal is 1 and their upper triangles 0, entries no call
+    writes, so their sum is the unit lower triangular ``coefficients``.
+    Every operand keeps the layout of the views it replaces, so each matmul
+    makes the same BLAS call and the basis keeps its bits.
+    """
+
+    def __init__(self, stack: BasisStack):
+        values = stack.values.transpose(1, 0, 2)
+        projector = stack.projector.transpose(2, 0, 1)
+        norms = stack.squared_norms.T
+        kept = stack.kept.T
+        m, n_el = norms.shape
+        self.values, self.projector, self.kept = values, projector, kept
+        self.coefficients = stack.coefficients.transpose(1, 0, 2)
+        self.value_rows = values[:, :, None, :]
+        self.projector_cols = projector[:, :, :, None]
+        self.norms, self.norm_outs = norms, norms[:, :, None, None]
+        self.norm_cols = norms[:, :, None]
+        self.floor = np.empty((m, n_el))
+        self.dropped = np.empty((m, n_el), dtype=bool)
+        self.passes = np.zeros((2, m, n_el, m))
+        first, second = self.passes
+        first[np.arange(m), :, np.arange(m)] = 1.0
+        self.rows = [
+            (
+                values[i], values[i][:, None, :],
+                values[:i].transpose(1, 0, 2), projector[:i].transpose(1, 2, 0),
+                projector[i], projector[i][:, None, :], projector[i][:, :, None],
+                first[i][:, None, :i], second[i][:, None, :i],
+                norms[i], self.norm_outs[i], self.norm_cols[i],
+                self.floor[i], self.dropped[i], kept[i],
+            )
+            for i in range(1, m)
+        ]
 
 
 def empty_stack(n_el: int, m: int, q: int) -> BasisStack:
@@ -86,7 +146,8 @@ def empty_stack(n_el: int, m: int, q: int) -> BasisStack:
 
 
 def stack_rows(stack: BasisStack, elements: slice) -> BasisStack:
-    """The bases of ``elements`` of ``stack``: views that write through."""
+    """The bases of ``elements`` of ``stack``: views that write through, with
+    a Gram-Schmidt plan of their own."""
     return BasisStack(
         stack.values[elements],
         stack.projector[elements],
@@ -110,51 +171,51 @@ def orthogonalize(
     :class:`BasisStack`). Each element's result depends on its own
     candidates only, never on the rest of the batch.
 
-    The basis is built in ``work`` (from :func:`empty_stack`, same shape),
-    else in a new stack, and returned. ``candidates`` may be ``work.values``
-    itself, and are then orthogonalized in place.
+    The basis is built in ``work`` (from :func:`empty_stack` or
+    :func:`stack_rows`, same shape), else in a new stack, and returned.
+    ``candidates`` may be ``work.values`` itself, and are then
+    orthogonalized in place; row 0 of ``values`` is then never written, so
+    a caller that refills only the rows after it keeps its constant row.
+    The views and outputs of each candidate come from the stack's plan
+    (:meth:`BasisStack.gram_schmidt_plan`), built at the first call in that
+    stack, so each candidate costs only its five matmuls and its in-place
+    arithmetic.
     """
     basis = work if work is not None else empty_stack(*candidates.shape)
-    values = basis.values.transpose(1, 0, 2)
+    plan = basis.gram_schmidt_plan()
+    values, projector, norms = plan.values, plan.projector, plan.norms
     if candidates is not basis.values:
         values[...] = candidates.transpose(1, 0, 2)
     # Until a projector row is final it holds the candidate's weighted
-    # values, then its projections onto the rows before it.
-    projector = basis.projector.transpose(2, 0, 1)
+    # values, then its projections onto the rows before it. Each norm holds
+    # its candidate's pre-orthogonalization squared norm until the
+    # candidate's turn.
     np.multiply(values, weights, out=projector)
-    pre = (values[:, :, None, :] @ projector[:, :, :, None])[:, :, 0, 0]
-    floor = DROP_RATIO * pre
-    projector[0] /= pre[0][:, None]
-    norms, kept = basis.squared_norms.T, basis.kept.T
-    coefs = basis.coefficients.transpose(1, 0, 2)
-    norms[0] = pre[0]
-    kept[...] = True
-    coefs[...] = 0.0
-    coefs[0, :, 0] = 1.0
-    for i in range(1, values.shape[0]):
-        v = values[i]
-        seen = values[:i].transpose(1, 0, 2)
-        seen_proj = projector[:i].transpose(1, 2, 0)
-        vw = projector[i]
+    np.matmul(plan.value_rows, plan.projector_cols, out=plan.norm_outs)
+    np.multiply(DROP_RATIO, norms, out=plan.floor)
+    projector[0] /= plan.norm_cols[0]
+    plan.kept[...] = True
+    for (v, v_row, seen, seen_proj, vw, vw_row, vw_col, first, second,
+         norm, norm_out, norm_col, floor, dropped, kept) in plan.rows:
         # Two passes: the second removes what rounding left of the first.
-        first = v[:, None, :] @ seen_proj
-        v -= np.matmul(first, seen, out=vw[:, None, :])[:, 0]
-        second = v[:, None, :] @ seen_proj
-        v -= np.matmul(second, seen, out=vw[:, None, :])[:, 0]
-        coefs[i, :, :i] = (first + second)[:, 0]
-        coefs[i, :, i] = 1.0
+        np.matmul(v_row, seen_proj, out=first)
+        np.matmul(first, seen, out=vw_row)
+        v -= vw
+        np.matmul(v_row, seen_proj, out=second)
+        np.matmul(second, seen, out=vw_row)
+        v -= vw
         np.multiply(v, weights, out=vw)
-        post = (v[:, None, :] @ vw[:, :, None])[:, 0, 0]
+        np.matmul(v_row, vw_col, out=norm_out)
         # <= so that a candidate that is zero at every node (0 <= 0) is
         # dropped too, rather than kept with a zero norm.
-        dropped = post <= floor[i]
+        np.less_equal(norm, floor, out=dropped)
         if np.count_nonzero(dropped):
             v[dropped] = 0.0
             vw[dropped] = 0.0
-            post[dropped] = 1.0
-            kept[i, dropped] = False
-        norms[i] = post
-        vw /= post[:, None]
+            norm[dropped] = 1.0
+            kept[dropped] = False
+        vw /= norm_col
+    np.add(*plan.passes, out=plan.coefficients)
     return basis
 
 

@@ -249,8 +249,12 @@ class _Block:
         self.derivs = derivs[:, span]
         self.scratch = scratch[:, nodes_span]
         self.flow = stack_rows(flow, span)
+        # The constant candidate is written once: orthogonalize never writes
+        # row 0 of the values it works on in place, and fill_germs writes
+        # only the rows after it.
         candidates = self.flow.values.transpose(1, 0, 2)
-        self.constant, self.germs = candidates[0], _rows(candidates[1:])
+        candidates[0] = 1.0
+        self.germs = _rows(candidates[1:])
         self.events = events[span]
 
     def use(self, basis: BasisStack, modes, work) -> None:
@@ -266,8 +270,7 @@ class _Block:
 
     def rebuild(self, t: float) -> None:
         """Rebuild the flow-driven basis from the germs of the state values,
-        writing its candidates (the constant, then the germs) into its values."""
-        self.constant[...] = 1.0
+        writing them into the rows of its values after the constant."""
         fill_germs(self.model, t, self.nodes, self.rows, self.germs, scratch=self.scratch)
         self.basis = orthogonalize(self.flow.values, self.weights, work=self.flow)
 

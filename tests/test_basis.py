@@ -11,6 +11,7 @@ from mefsc.basis import (
     aligned_empty,
     empty_stack,
     orthogonalize,
+    stack_rows,
     warmstart_candidates,
 )
 
@@ -213,11 +214,28 @@ def test_gram_schmidt_deterministic():
     assert np.array_equal(a.squared_norms, b.squared_norms)
 
 
-def test_reused_workspace_gives_the_bits_of_a_fresh_call():
-    # The solver rebuilds every basis of a batch in one workspace. A set with
-    # masked rows (a dependent germ in element 1, a zero one in element 2)
-    # followed by a set with none must leave nothing stale behind: kept
-    # flags, coefficients and norms are those of a fresh call.
+def whole_stack(n_el, m, q):
+    return empty_stack(n_el, m, q), slice(None)
+
+
+def stack_cut(n_el, m, q):
+    # Elements 1-3 of a 5-element stack: a cut along the element axis, the
+    # layout of the solver's element blocks.
+    parent = empty_stack(n_el + 2, m, q)
+    for name in ("values", "projector", "squared_norms", "coefficients"):
+        getattr(parent, name)[...] = np.nan
+    parent.kept[...] = True
+    return parent, slice(1, n_el + 1)
+
+
+@pytest.mark.parametrize("layout", [whole_stack, stack_cut])
+def test_reused_workspace_gives_the_bits_of_a_fresh_call(layout):
+    # The solver rebuilds every basis of a batch in one workspace, or in a
+    # block of it. A set with masked rows (a dependent germ in element 1, a
+    # zero one in element 2) followed by a set with none must leave nothing
+    # stale behind: kept flags, coefficients and norms are those of a fresh
+    # call. Like the solver, the test writes the constant row once and then
+    # only the germ rows; an in-place call never writes row 0.
     grid = unit_grid()
     x = grid.nodes[:, 0]
     weights = np.stack([grid.weights] * 3)
@@ -234,14 +252,27 @@ def test_reused_workspace_gives_the_bits_of_a_fresh_call():
     masked = random_set()
     masked[1, 3] = 2.0 * masked[1, 2]
     masked[2, 4] = 0.0
-    work = empty_stack(3, 5, x.size)
+    parent, cut = layout(3, 5, x.size)
+    work = stack_rows(parent, cut)
+    before = {
+        name: getattr(parent, name).copy()
+        for name in ("values", "projector", "squared_norms", "kept", "coefficients")
+    }
+    work.values[:, 0] = 1.0
     for cands in (masked, random_set(), masked):
         fresh = orthogonalize(cands, weights)
-        work.values[...] = cands
+        work.values[:, 1:] = cands[:, 1:]
         built = orthogonalize(work.values, weights, work=work)
         assert built is work
+        assert np.array_equal(work.values[:, 0], np.ones((3, x.size)))
         for name in ("values", "projector", "squared_norms", "kept", "coefficients"):
             assert np.array_equal(getattr(built, name), getattr(fresh, name)), name
+            # Elements outside the cut are left as they were.
+            outside = np.ones(len(before[name]), dtype=bool)
+            outside[cut] = False
+            assert np.array_equal(
+                getattr(parent, name)[outside], before[name][outside], equal_nan=True
+            ), name
     kept = orthogonalize(masked, weights).kept
     assert kept[0].all() and not kept[1, 3] and not kept[2, 4]
 

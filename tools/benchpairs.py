@@ -16,16 +16,27 @@ The file gets, per workload, the median and quartiles over the seeds of each
 side for every end-to-end metric, ``change_wins`` (the pairs where the change
 is better by the metric's own direction), the rounds attempted and failed,
 and ``all_rounds_correct`` (every run checked its outputs and found them
-correct). The file is rewritten after every pair, so an interrupted run
-keeps the pairs it finished. An existing ``--out`` file keeps its other
+correct), and per side the median host speed factor of each run, the
+factor perfbench prints on stderr and scales that run's times by, in seed
+order, which shows drift across a set. The file is rewritten after every
+pair, so an interrupted run keeps the pairs it finished. An existing ``--out`` file keeps its other
 workloads and top-level entries; ``--workload`` may be given more than once.
-``--claim METRIC`` records the claimed gain of the last workload given.
+``--claim METRIC`` records the claimed gain of the last workload given,
+with the parent's interquartile range and whether the gain passes both
+parts of the rule for a claimed gain: the change is better in at least nine
+of every ten pairs, and its median is better than the parent's by more than
+the parent's interquartile range.
+
+The file records both checkouts' commits, ``parent_commit`` and
+``change_commit``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import platform
 import subprocess
 import sys
@@ -37,6 +48,10 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {metric["name"]: metric["better"] for metric in BENCHMARK["end_to_end"]}
 SIDES = ("parent", "change")
+# The line on which perfbench reports a run's median host speed factor.
+SPEED = re.compile(r"median speed factor ([0-9.eE+-]+)")
+# Share of the pairs a claimed gain must win.
+CLAIM_WIN_SHARE = 0.9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -48,7 +63,8 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """perfbench's JSON result for one untraced run from ``checkout``."""
+    """perfbench's JSON result for one untraced run from ``checkout``, with
+    the run's median host speed factor added as ``speed``."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
@@ -59,7 +75,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(
             f"{checkout}: {' '.join(argv[1:])} exited {done.returncode}\n{done.stderr}"
         )
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    speed = SPEED.search(done.stderr)
+    result["speed"] = float(speed.group(1)) if speed else None
+    return result
 
 
 def rounded(value: float) -> float:
@@ -87,7 +106,36 @@ def summarize(results: dict[str, list[dict]], seeds: list[int]) -> dict:
         "all_rounds_correct": all(run["correct"] for side in SIDES for run in results[side]),
         "rounds_attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
         "rounds_failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+        "speed_factors": {
+            side: [None if r["speed"] is None else rounded(r["speed"]) for r in results[side]]
+            for side in SIDES
+        },
         "metrics": metrics,
+    }
+
+
+def claim(workload: str, pairs: int, metric: str, entry: dict) -> dict:
+    """The ``claimed`` entry of ``metric`` on ``workload``: its medians and
+    wins, the parent's interquartile range, and whether each part of the
+    rule holds."""
+    low, _, high = entry["parent_quartiles"]
+    gap = entry["parent_median"] - entry["change_median"]
+    if BETTER[metric] != "lower":
+        gap = -gap
+    wins_needed = math.ceil(CLAIM_WIN_SHARE * pairs)
+    return {
+        "workload": workload,
+        "metric": metric,
+        "parent_median": entry["parent_median"],
+        "change_median": entry["change_median"],
+        "wins": entry["change_wins"],
+        "pairs": pairs,
+        "parent_quartiles": entry["parent_quartiles"],
+        "parent_iqr": rounded(high - low),
+        "median_gap": rounded(gap),
+        "wins_needed": wins_needed,
+        "wins_hold": entry["change_wins"] >= wins_needed,
+        "gap_holds": gap > high - low,
     }
 
 
@@ -129,7 +177,9 @@ def main(argv=None) -> int:
     if args.note:
         bench["change"] = args.note
     bench.setdefault("change", "")
-    bench["parent_commit"] = git_commit(args.parent) or bench.get("parent_commit")
+    for side, checkout in (("parent", args.parent), ("change", args.change)):
+        key = f"{side}_commit"
+        bench[key] = git_commit(checkout) or bench.get(key)
     bench["command"] = (
         f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} "
         "--trace 0"
@@ -143,7 +193,8 @@ def main(argv=None) -> int:
     bench["metric_notes"] = (
         "times are perfbench's host-speed-scaled medians over the rounds of one run; "
         "the medians and quartiles below are over the runs of each side; "
-        "change_wins counts pairs where the change read better"
+        "change_wins counts pairs where the change read better; speed_factors are "
+        "each run's median host speed factor, in seed order"
     )
     workloads = bench.setdefault("workloads", {})
     for workload in args.workload:
@@ -158,15 +209,10 @@ def main(argv=None) -> int:
             solve = {side: results[side][-1]["metrics"]["solve_s"]["value"] for side in SIDES}
             print(f"{workload} seed {seed}: solve_s {solve}", file=sys.stderr, flush=True)
     if args.claim is not None:
-        entry = workloads[args.workload[-1]]["metrics"][args.claim]
-        bench["claimed"] = {
-            "workload": args.workload[-1],
-            "metric": args.claim,
-            "parent_median": entry["parent_median"],
-            "change_median": entry["change_median"],
-            "wins": entry["change_wins"],
-            "parent_quartiles": entry["parent_quartiles"],
-        }
+        summary = workloads[args.workload[-1]]
+        bench["claimed"] = claim(
+            args.workload[-1], summary["pairs"], args.claim, summary["metrics"][args.claim]
+        )
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
