@@ -8,7 +8,8 @@ inner product, i.e. the element's conditional measure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -64,9 +65,9 @@ class BasisStack:
     ``coefficients`` is (E, m, m) and unit lower triangular: row i holds the
     summed coefficients of both Gram-Schmidt passes of candidate i.
 
-    The first :func:`orthogonalize` that works in a stack stores on it the
-    stack's Gram-Schmidt plan (:class:`_GramSchmidtPlan`), which every later
-    call in the same stack reuses.
+    ``plan`` is the stack's Gram-Schmidt plan (:class:`_GramSchmidtPlan`),
+    built by the first :func:`orthogonalize` that works in the stack and
+    reused by every later one.
     """
 
     values: np.ndarray
@@ -74,13 +75,11 @@ class BasisStack:
     squared_norms: np.ndarray
     kept: np.ndarray
     coefficients: np.ndarray
-    _plan: _GramSchmidtPlan | None = field(default=None, init=False, repr=False, compare=False)
 
-    def gram_schmidt_plan(self) -> _GramSchmidtPlan:
-        """This stack's plan, built at the first call."""
-        if self._plan is None:
-            self._plan = _GramSchmidtPlan(self)
-        return self._plan
+    @cached_property
+    def plan(self) -> _GramSchmidtPlan:
+        """This stack's Gram-Schmidt plan, built when first read."""
+        return _GramSchmidtPlan(self)
 
 
 class _GramSchmidtPlan:
@@ -98,8 +97,8 @@ class _GramSchmidtPlan:
     ``passes`` holds both passes' coefficients, candidate-major; the first
     pass's diagonal is 1 and their upper triangles 0, entries no call
     writes, so their sum is the unit lower triangular ``coefficients``.
-    Every operand keeps the layout of the views it replaces, so each matmul
-    makes the same BLAS call and the basis keeps its bits.
+    No matmul operand is a copy: numpy picks its BLAS call by layout, and a
+    contiguous copy of the projector view was measured to change bits.
     """
 
     def __init__(self, stack: BasisStack):
@@ -177,12 +176,11 @@ def orthogonalize(
     orthogonalized in place; row 0 of ``values`` is then never written, so
     a caller that refills only the rows after it keeps its constant row.
     The views and outputs of each candidate come from the stack's plan
-    (:meth:`BasisStack.gram_schmidt_plan`), built at the first call in that
-    stack, so each candidate costs only its five matmuls and its in-place
-    arithmetic.
+    (``BasisStack.plan``), built at the first call in that stack, so each
+    candidate costs only its five matmuls and its in-place arithmetic.
     """
     basis = work if work is not None else empty_stack(*candidates.shape)
-    plan = basis.gram_schmidt_plan()
+    plan = basis.plan
     values, projector, norms = plan.values, plan.projector, plan.norms
     if candidates is not basis.values:
         values[...] = candidates.transpose(1, 0, 2)
