@@ -47,7 +47,7 @@ def aligned_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasisStack:
     """Bases of a batch of elements that share node and candidate counts.
 
@@ -66,8 +66,9 @@ class BasisStack:
     summed coefficients of both Gram-Schmidt passes of candidate i.
 
     ``plan`` is the stack's Gram-Schmidt plan (:class:`_GramSchmidtPlan`),
-    built by the first :func:`orthogonalize` that works in the stack and
-    reused by every later one.
+    built by the first ``orthogonalize(work=)`` in the stack and reused by
+    every later one. The stack is frozen, so the plan's views stay views of
+    its arrays.
     """
 
     values: np.ndarray
@@ -85,18 +86,20 @@ class BasisStack:
 class _GramSchmidtPlan:
     """What :func:`orthogonalize` needs of one stack besides its arithmetic:
     candidate-major views of the stack's arrays, every per-candidate operand
-    and output view, and preallocated outputs with unit inner stride for both
-    passes' coefficients and the drop floor (the pre- and post-norms are
-    written into ``squared_norms``).
+    and output view, and outputs with unit inner stride for the second
+    pass's coefficients, the drop floor and the drop flags. The first pass's
+    coefficients and the pre- and post-norms are written into the stack's
+    ``coefficients`` and ``squared_norms``.
 
     ``rows[i - 1]`` holds candidate i's views: its values row ``v`` and its
     projector row ``vw`` (also as (E, 1, Q) rows and an (E, Q, 1) column),
     the rows before it (``seen``, (E, i, Q)) and their projector columns
     (``seen_proj``, (E, Q, i)), its pass outputs (E, 1, i), its norm as an
     output and a column, its floor, its drop flags and its ``kept`` row.
-    ``passes`` holds both passes' coefficients, candidate-major; the first
-    pass's diagonal is 1 and their upper triangles 0, entries no call
-    writes, so their sum is the unit lower triangular ``coefficients``.
+    Building the plan sets the diagonal of ``coefficients`` to 1 and its
+    upper triangle, like that of ``second``, to 0: entries that no call
+    writes, so adding ``second`` to the first pass's coefficients makes
+    them unit lower triangular.
     No matmul operand is a copy: numpy picks its BLAS call by layout, and a
     contiguous copy of the projector view was measured to change bits.
     """
@@ -108,22 +111,22 @@ class _GramSchmidtPlan:
         kept = stack.kept.T
         m, n_el = norms.shape
         self.values, self.projector, self.kept = values, projector, kept
-        self.coefficients = stack.coefficients.transpose(1, 0, 2)
+        self.coefficients = coefs = stack.coefficients.transpose(1, 0, 2)
         self.value_rows = values[:, :, None, :]
         self.projector_cols = projector[:, :, :, None]
         self.norms, self.norm_outs = norms, norms[:, :, None, None]
         self.norm_cols = norms[:, :, None]
         self.floor = np.empty((m, n_el))
         self.dropped = np.empty((m, n_el), dtype=bool)
-        self.passes = np.zeros((2, m, n_el, m))
-        first, second = self.passes
-        first[np.arange(m), :, np.arange(m)] = 1.0
+        self.second = second = np.zeros((m, n_el, m))
+        coefs[...] = 0.0
+        coefs[np.arange(m), :, np.arange(m)] = 1.0
         self.rows = [
             (
                 values[i], values[i][:, None, :],
                 values[:i].transpose(1, 0, 2), projector[:i].transpose(1, 2, 0),
                 projector[i], projector[i][:, None, :], projector[i][:, :, None],
-                first[i][:, None, :i], second[i][:, None, :i],
+                coefs[i][:, None, :i], second[i][:, None, :i],
                 norms[i], self.norm_outs[i], self.norm_cols[i],
                 self.floor[i], self.dropped[i], kept[i],
             )
@@ -177,10 +180,14 @@ def orthogonalize(
     a caller that refills only the rows after it keeps its constant row.
     The views and outputs of each candidate come from the stack's plan
     (``BasisStack.plan``), built at the first call in that stack, so each
-    candidate costs only its five matmuls and its in-place arithmetic.
+    candidate costs only its five matmuls and its in-place arithmetic. A
+    call without ``work`` builds a plan for the stack it makes and drops it.
     """
-    basis = work if work is not None else empty_stack(*candidates.shape)
-    plan = basis.plan
+    if work is None:
+        basis = empty_stack(*candidates.shape)
+        plan = _GramSchmidtPlan(basis)
+    else:
+        basis, plan = work, work.plan
     values, projector, norms = plan.values, plan.projector, plan.norms
     if candidates is not basis.values:
         values[...] = candidates.transpose(1, 0, 2)
@@ -213,7 +220,7 @@ def orthogonalize(
             norm[dropped] = 1.0
             kept[dropped] = False
         vw /= norm_col
-    np.add(*plan.passes, out=plan.coefficients)
+    plan.coefficients += plan.second
     return basis
 
 
