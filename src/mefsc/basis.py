@@ -117,7 +117,7 @@ class _GramSchmidtPlan:
         self.norms, self.norm_outs = norms, norms[:, :, None, None]
         self.norm_cols = norms[:, :, None]
         self.floor = np.empty((m, n_el))
-        self.dropped = np.empty((m, n_el), dtype=bool)
+        dropped = np.empty((m, n_el), dtype=bool)
         self.second = second = np.zeros((m, n_el, m))
         coefs[...] = 0.0
         coefs[np.arange(m), :, np.arange(m)] = 1.0
@@ -128,7 +128,7 @@ class _GramSchmidtPlan:
                 projector[i], projector[i][:, None, :], projector[i][:, :, None],
                 coefs[i][:, None, :i], second[i][:, None, :i],
                 norms[i], self.norm_outs[i], self.norm_cols[i],
-                self.floor[i], self.dropped[i], kept[i],
+                self.floor[i], dropped[i], kept[i],
             )
             for i in range(1, m)
         ]
