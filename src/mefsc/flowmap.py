@@ -34,6 +34,11 @@ class ModelSpec:
 
     ``initial_state(nodes)`` evaluates the initial condition at the nodes.
     ``max_enrichment`` caps how many derivative levels the chain supports.
+
+    ``linear`` declares a linear autonomous system: at every node ``rhs(t,
+    nodes, x)`` equals A(node) x for every t and state x, with A depending
+    on the node only, so ``rhs`` on the n unit states gives A's columns.
+    The quasi-exact oracle then steps by a per-node propagator built once.
     """
 
     name: str
@@ -46,6 +51,7 @@ class ModelSpec:
     derivative_chain: Callable[..., np.ndarray]
     initial_state: Callable[[np.ndarray], np.ndarray]
     chain_scratch_rows: int = 0
+    linear: bool = False
 
 
 def check_truncation(model: ModelSpec, truncation: int) -> None:

@@ -177,8 +177,10 @@ def _transfer(values, basis: BasisStack, t, ids, events, modes) -> None:
     """
     n = values.shape[1]
     modes[...] = basis.coefficients[:, 1 : n + 1]
-    lost = ~basis.kept[:, 1 : n + 1].all(axis=1)
-    for e in np.flatnonzero(lost):
+    kept = basis.kept[:, 1 : n + 1]
+    if kept.all():
+        return
+    for e in np.flatnonzero(~kept.all(axis=1)):
         modes[e] = values[e] @ basis.projector[e]
         events[e].append(FallbackEvent(t, int(ids[e]), "state germ dropped"))
 
@@ -335,8 +337,17 @@ def rk4_step(rhs, t: float, dt: float, nodes, y: np.ndarray, work) -> None:
     y += k2
 
 
-def _local_variance(modes: np.ndarray, basis: BasisStack) -> np.ndarray:
-    return ((modes[:, :, 1:] ** 2) @ basis.squared_norms[:, 1:, None])[:, :, 0]
+def _local_variance(modes: np.ndarray, basis: BasisStack, out=None, squares=None) -> np.ndarray:
+    """(E, n) local variances of (E, n, m) ``modes``: the squared higher
+    modes weighted by the basis's squared norms.
+
+    ``out``, an (E, n, 1) array, takes the result and ``squares``, a
+    contiguous (E, n, m - 1) array, the squared modes; either is allocated
+    when not given. The product's operands have the layout of fresh arrays
+    either way, so the bits do not depend on them.
+    """
+    squares = np.square(modes[:, :, 1:], out=squares)
+    return np.matmul(squares, basis.squared_norms[:, 1:, None], out=out)[:, :, 0]
 
 
 def _max_offdiag_residual(basis: BasisStack, weights: np.ndarray) -> np.ndarray:
@@ -438,6 +449,7 @@ def run_elements(
         for block in blocks:
             block.rebuild(0.0)
     modes, *work = np.empty((6, n_el, n, basis.values.shape[1]))
+    squares = np.empty((n_el, n, basis.values.shape[1] - 1))
     np.matmul(state.transpose(1, 0, 2), basis.projector, out=modes)
     for block in blocks:
         block.use(basis, modes, work)
@@ -452,7 +464,7 @@ def run_elements(
         nonlocal start
         col = step - start
         mean[:, :, col] = modes[:, :, 0]
-        variance[:, :, col] = _local_variance(modes, basis)
+        _local_variance(modes, basis, out=variance[:, :, col : col + 1], squares=squares)
         if col + 1 == width or step == n_steps:
             reduce(start, mean[:, :, : col + 1], variance[:, :, : col + 1])
             start = step + 1
@@ -478,6 +490,7 @@ def run_elements(
                 )
             basis = flow
             modes, *work = np.empty((6, n_el, n, truncation + 1))
+            squares = np.empty((n_el, n, truncation))
             for block in blocks:
                 block.use(basis, modes, work)
         # Each block is rebuilt, transferred and stepped before the next

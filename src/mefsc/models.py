@@ -49,6 +49,7 @@ oscillator = ModelSpec(
     rhs=_osc_rhs,
     derivative_chain=_osc_chain,
     initial_state=_osc_init,
+    linear=True,
 )
 
 
@@ -83,6 +84,7 @@ third_order = ModelSpec(
     rhs=_third_rhs,
     derivative_chain=_third_chain,
     initial_state=_third_init,
+    linear=True,
 )
 
 

@@ -379,7 +379,19 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("name,dists,dt,points", ORACLE_CASES)
+LINEAR_CASES = [case for case in ORACLE_CASES if MODELS[case[0]].linear]
+
+
+# The nonlinear models keep the sub-stepped RK4 and its bits. The ids are
+# those pytest gave the cases when the linear models ran here too.
+@pytest.mark.parametrize(
+    "name,dists,dt,points",
+    [
+        pytest.param(*case, id=f"{case[0]}-dists{i}-{case[2]}-{case[3]}")
+        for i, case in enumerate(ORACLE_CASES)
+        if not MODELS[case[0]].linear
+    ],
+)
 def test_quasi_exact_matches_allocating_reference(name, dists, dt, points):
     model = MODELS[name]
     times = np.arange(6) * dt
@@ -387,6 +399,103 @@ def test_quasi_exact_matches_allocating_reference(name, dists, dt, points):
     mean, var = _allocating_quasi_exact(model, dists, times, points)
     _assert_same_bits(got.mean, mean)
     _assert_same_bits(got.variance, var)
+
+
+def _hand_written_matrices(name, nodes):
+    """A (Q, n, n) of the linear models, written out from their equations."""
+    k = nodes[:, 0]
+    if name == "oscillator":
+        a = np.zeros((k.size, 2, 2))
+        a[:, 0, 1] = 1.0
+        a[:, 1, 0] = -(k / 100.0)
+    else:
+        a = np.zeros((k.size, 3, 3))
+        a[:, 0, 1] = a[:, 1, 2] = 1.0
+        a[:, 2, 0], a[:, 2, 1], a[:, 2, 2] = -1.0, -k, -0.5
+    return a
+
+
+def _expm_moments(name, dists, times, points):
+    """Moments of x(t) = expm(t A) x0 at every node of the oracle's grid."""
+    from scipy.linalg import expm
+
+    model = MODELS[name]
+    grid = reference._full_domain_grid(dists, points)
+    a = _hand_written_matrices(name, grid.nodes)
+    x0 = model.initial_state(grid.nodes)
+    mean = np.empty((model.state_dim, times.size))
+    var = np.empty_like(mean)
+    for i, t in enumerate(times):
+        x = np.einsum("qij,jq->iq", expm(t * a), x0)
+        mean[:, i] = x @ grid.weights
+        var[:, i] = ((x - mean[:, i, None]) ** 2) @ grid.weights
+    return mean, var
+
+
+def test_only_the_linear_models_are_flagged_linear():
+    assert [name for name, model in MODELS.items() if model.linear] == [
+        "oscillator",
+        "third_order",
+    ]
+
+
+@pytest.mark.parametrize("name,dists,dt,points", LINEAR_CASES)
+def test_linear_quasi_exact_near_allocating_reference(name, dists, dt, points):
+    # A linear model steps by its per-node RK4 propagator: the scheme of the
+    # sub-stepped RK4, whose bits it does not keep. It stays within 1e-14 of
+    # it and no farther from the exact per-node solution.
+    model = MODELS[name]
+    times = np.arange(201) * dt
+    got = quasi_exact_moments(model, dists, times, points_per_axis=points)
+    mean, var = _allocating_quasi_exact(model, dists, times, points)
+    assert np.max(np.abs(got.mean - mean)) <= 1e-14
+    assert np.max(np.abs(got.variance - var)) <= 1e-14
+    exact_mean, exact_var = _expm_moments(name, dists, times, points)
+    for new, old, exact in [(got.mean, mean, exact_mean), (got.variance, var, exact_var)]:
+        assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact)) + 1e-15
+
+
+@pytest.mark.parametrize("name,dists,dt,points", LINEAR_CASES)
+def test_linear_matrices_read_from_rhs_are_exact(name, dists, dt, points):
+    # Every entry is 0, 1, -k/100, -k, -0.5 or -1: no rounding but k/100's.
+    grid = reference._full_domain_grid(dists, 200)
+    a = reference._linear_matrices(MODELS[name], 0.0, grid.nodes)
+    assert a.shape == (MODELS[name].state_dim,) * 2 + (200,)
+    assert np.array_equal(a.transpose(2, 0, 1), _hand_written_matrices(name, grid.nodes))
+
+
+@pytest.mark.parametrize("name", [name for name, model in MODELS.items() if model.linear])
+def test_linear_models_keep_the_linear_contract(name):
+    # rhs(t, nodes, x) = A(nodes) x at any t, for A read at t = 0.
+    model = MODELS[name]
+    rng = np.random.default_rng(16)
+    law = {"oscillator": UNIFORM_K, "third_order": Distribution.uniform(2.0, 3.0)}[name]
+    lo, hi = law.support
+    nodes = rng.uniform(lo, hi, (500, 1))
+    a = reference._linear_matrices(model, 0.0, nodes)
+    for t in rng.uniform(-1e3, 1e3, 5):
+        x = rng.standard_normal((model.state_dim, 500)) * 10.0 ** rng.integers(-6, 7, 500)
+        got = model.rhs(t, nodes, x, out=np.empty_like(x))
+        want = np.einsum("ijq,jq->iq", a, x)
+        scale = np.einsum("ijq,jq->iq", np.abs(a), np.abs(x))
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("name,dists,dt,points", ORACLE_CASES)
+def test_quasi_exact_one_time_grid(name, dists, dt, points, monkeypatch):
+    # One time: the initial moments, and no propagator is built.
+    def refuse(*args):
+        raise AssertionError("propagator built for a one-time grid")
+
+    monkeypatch.setattr(reference, "_linear_matrices", refuse)
+    monkeypatch.setattr(reference, "_rk4_increment", refuse)
+    model = MODELS[name]
+    got = quasi_exact_moments(model, dists, [0.0], points_per_axis=points)
+    grid = reference._full_domain_grid(dists, points)
+    x0 = model.initial_state(grid.nodes)
+    assert got.mean.shape == got.variance.shape == (model.state_dim, 1)
+    assert np.allclose(got.mean[:, 0], x0 @ grid.weights, rtol=1e-14, atol=0.0)
+    assert np.all(np.isfinite(got.variance)) and np.all(got.variance >= 0.0)
 
 
 @pytest.mark.parametrize("name,dists,dt,points", ORACLE_CASES)
