@@ -341,10 +341,10 @@ def _local_variance(modes: np.ndarray, basis: BasisStack, out=None, squares=None
     """(E, n) local variances of (E, n, m) ``modes``: the squared higher
     modes weighted by the basis's squared norms.
 
-    ``out``, an (E, n, 1) array, takes the result and ``squares``, a
-    contiguous (E, n, m - 1) array, the squared modes; either is allocated
-    when not given. The product's operands have the layout of fresh arrays
-    either way, so the bits do not depend on them.
+    ``out``, (E, n, 1) and possibly a column of a larger buffer, takes the
+    product and ``squares``, (E, n, m - 1), the squared modes; each is
+    allocated when not given. ``squares`` must be contiguous, as a fresh
+    array is, so that the product's operands keep their layout and bits.
     """
     squares = np.square(modes[:, :, 1:], out=squares)
     return np.matmul(squares, basis.squared_norms[:, 1:, None], out=out)[:, :, 0]

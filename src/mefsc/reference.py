@@ -187,7 +187,8 @@ def quasi_exact_moments(
     with RK4 at one ``refinement``-th of the output step; moments are
     quadrature sums. Quadrature at this density is far beyond the solver's
     resolution, so the result serves as a reference wherever no closed form
-    exists. Grids of more than QUASI_EXACT_MAX_NODES nodes are refused.
+    exists. Grids of more than QUASI_EXACT_MAX_NODES nodes are refused, and
+    so is a ``refinement`` below 1.
 
     A nonlinear model is stepped by :func:`rk4_step`, ``refinement``
     sub-steps per output step. For a linear model (``ModelSpec.linear``)
@@ -202,6 +203,8 @@ def quasi_exact_moments(
     of ten I + D1.
     """
     check_quasi_exact_grid(len(distributions), points_per_axis)
+    if refinement < 1:
+        raise ValueError(f"refinement must be at least 1, got {refinement!r}")
     times = np.asarray(times, dtype=float)
     if times.size > 1:
         spacing = np.diff(times)

@@ -113,6 +113,16 @@ def test_quasi_exact_requires_uniform_grid():
         quasi_exact_moments(OSC, (UNIFORM_K,), times)
 
 
+@pytest.mark.parametrize("model", [THIRD, MODELS["vanderpol"]])
+@pytest.mark.parametrize("refinement", [0, -1])
+def test_quasi_exact_refuses_refinement_below_one(model, refinement):
+    # Both paths refuse it: unchecked, -1 stepped the propagator backwards
+    # and left the RK4 path's state where it started.
+    dists = (Distribution.uniform(2.0, 3.0),) * model.param_dim
+    with pytest.raises(ValueError, match="refinement must be at least 1"):
+        quasi_exact_moments(model, dists, np.arange(3) * 1e-3, refinement=refinement)
+
+
 def test_mc_single_sample_has_zero_variance():
     series = monte_carlo_moments(OSC, (UNIFORM_K,), 1, 1e-2, 0.1, seed=4)
     assert np.all(series.variance == 0.0)
@@ -380,6 +390,7 @@ ORACLE_CASES = [
 
 
 LINEAR_CASES = [case for case in ORACLE_CASES if MODELS[case[0]].linear]
+LINEAR_LAWS = {name: dists[0] for name, dists, _, _ in LINEAR_CASES}
 
 
 # The nonlinear models keep the sub-stepped RK4 and its bits. The ids are
@@ -433,19 +444,18 @@ def _expm_moments(name, dists, times, points):
 
 
 def test_only_the_linear_models_are_flagged_linear():
-    assert [name for name, model in MODELS.items() if model.linear] == [
-        "oscillator",
-        "third_order",
-    ]
+    flagged = [name for name, model in MODELS.items() if model.linear]
+    assert flagged == list(LINEAR_LAWS) == ["oscillator", "third_order"]
 
 
 @pytest.mark.parametrize("name,dists,dt,points", LINEAR_CASES)
 def test_linear_quasi_exact_near_allocating_reference(name, dists, dt, points):
     # A linear model steps by its per-node RK4 propagator: the scheme of the
     # sub-stepped RK4, whose bits it does not keep. It stays within 1e-14 of
-    # it and no farther from the exact per-node solution.
+    # it and no farther from the exact per-node solution. 2000 steps are
+    # enough to see the propagator's rounding if it steps x <- (I + D) x.
     model = MODELS[name]
-    times = np.arange(201) * dt
+    times = np.arange(2001) * dt
     got = quasi_exact_moments(model, dists, times, points_per_axis=points)
     mean, var = _allocating_quasi_exact(model, dists, times, points)
     assert np.max(np.abs(got.mean - mean)) <= 1e-14
@@ -455,22 +465,21 @@ def test_linear_quasi_exact_near_allocating_reference(name, dists, dt, points):
         assert np.max(np.abs(new - exact)) <= np.max(np.abs(old - exact)) + 1e-15
 
 
-@pytest.mark.parametrize("name,dists,dt,points", LINEAR_CASES)
-def test_linear_matrices_read_from_rhs_are_exact(name, dists, dt, points):
+@pytest.mark.parametrize("name", LINEAR_LAWS)
+def test_linear_matrices_read_from_rhs_are_exact(name):
     # Every entry is 0, 1, -k/100, -k, -0.5 or -1: no rounding but k/100's.
-    grid = reference._full_domain_grid(dists, 200)
+    grid = reference._full_domain_grid((LINEAR_LAWS[name],), 200)
     a = reference._linear_matrices(MODELS[name], 0.0, grid.nodes)
     assert a.shape == (MODELS[name].state_dim,) * 2 + (200,)
     assert np.array_equal(a.transpose(2, 0, 1), _hand_written_matrices(name, grid.nodes))
 
 
-@pytest.mark.parametrize("name", [name for name, model in MODELS.items() if model.linear])
+@pytest.mark.parametrize("name", LINEAR_LAWS)
 def test_linear_models_keep_the_linear_contract(name):
     # rhs(t, nodes, x) = A(nodes) x at any t, for A read at t = 0.
     model = MODELS[name]
     rng = np.random.default_rng(16)
-    law = {"oscillator": UNIFORM_K, "third_order": Distribution.uniform(2.0, 3.0)}[name]
-    lo, hi = law.support
+    lo, hi = LINEAR_LAWS[name].support
     nodes = rng.uniform(lo, hi, (500, 1))
     a = reference._linear_matrices(model, 0.0, nodes)
     for t in rng.uniform(-1e3, 1e3, 5):
